@@ -38,12 +38,15 @@
 //! - **interleaved** (closed loops, cached runs): a serial conductor
 //!   loop steps whichever of {next arrival, cache completions, shards}
 //!   is earliest, with a fixed tie order, so feedback (queue-depth
-//!   replenishment, cache state) sees one global timeline.
+//!   replenishment, cache state) sees one global timeline. The shards'
+//!   head times live in an index re-keyed only for the shards each step
+//!   touched, so an event costs O(log groups), not a scan of every shard.
 //!
 //! Construct one `ArraySim` per experiment run; `run_trace` (open loop) and
 //! `run_closed_loop` (Iometer-style) both consume the instance's state.
 
 pub mod cache;
+mod heads;
 pub mod report;
 mod shard;
 
@@ -62,6 +65,7 @@ use crate::layout::{
 use crate::sched::Policy;
 
 use cache::LruCache;
+use heads::{HeadIndex, ShardSet};
 use report::{FaultReport, RunReport};
 use shard::{HealthKind, Note, Nvram, PopRecord, Shard, Submission};
 
@@ -448,7 +452,12 @@ pub struct ArraySim {
     report: RunReport,
     closed_loop: Option<ClosedLoop>,
     last_completion: SimTime,
-    pending_failures: Vec<(SimTime, usize)>,
+    /// Interleaved mode: every shard's earliest event time.
+    heads: HeadIndex,
+    /// Shards called into since `heads` was last re-keyed.
+    dirty: ShardSet,
+    /// Shards holding notes the conductor has not applied yet.
+    noted: ShardSet,
     /// Reusable fragment buffer for request planning. The flag marks a
     /// parity full-stripe write; it is always `false` without a parity
     /// organization.
@@ -536,7 +545,9 @@ impl ArraySim {
             report: RunReport::default(),
             closed_loop: None,
             last_completion: SimTime::ZERO,
-            pending_failures: Vec::new(),
+            heads: HeadIndex::new(groups),
+            dirty: ShardSet::new(groups),
+            noted: ShardSet::new(groups),
             frag_scratch: Vec::new(),
             witness: DetWitness::new(),
             cond_pops: 0,
@@ -593,18 +604,6 @@ impl ArraySim {
         out
     }
 
-    /// Schedules a disk failure before a run (fault injection).
-    ///
-    /// At `at`, the disk stops servicing: its in-flight and queued work is
-    /// re-dispatched to surviving mirror copies where they exist, pending
-    /// delayed propagations to it are dropped, and later requests whose
-    /// only copies lived there complete as failed
-    /// ([`RunReport::failed_requests`]).
-    pub fn schedule_disk_failure(&mut self, at: SimTime, disk: usize) {
-        assert!(disk < self.layout.disks(), "no such disk");
-        self.pending_failures.push((at, disk));
-    }
-
     /// Whether a disk has failed.
     pub fn disk_is_dead(&self, disk: usize) -> bool {
         let w = self.layout.disks_per_group().max(1);
@@ -640,16 +639,15 @@ impl ArraySim {
             }
             total += s.report.delayed_propagated - before;
         }
+        for c in 0..self.shards.len() {
+            self.touched(c);
+        }
         self.pump_notes();
         total
     }
 
-    /// Arms scheduled failures and the shards' fault plans (idempotent).
+    /// Arms the shards' fault plans (idempotent).
     fn arm_failures(&mut self) {
-        let w = self.layout.disks_per_group().max(1);
-        for (at, disk) in std::mem::take(&mut self.pending_failures) {
-            self.shards[disk / w].schedule_failure(at, disk);
-        }
         for s in &mut self.shards {
             s.arm();
         }
@@ -798,6 +796,12 @@ impl ArraySim {
     /// shards by index — so the timeline is reproducible.
     fn drive_interleaved<S: RequestSource + ?Sized>(&mut self, source: Option<&S>) -> RunReport {
         self.structured_last = false;
+        // Arming, closed-loop priming and earlier runs moved shard heads
+        // outside this loop: key every shard once.
+        for c in 0..self.shards.len() {
+            self.dirty.insert(c);
+        }
+        self.rekey();
         let n = source.map_or(0, |s| s.len());
         let mut cursor = 0usize;
         loop {
@@ -812,11 +816,19 @@ impl ArraySim {
                     best = Some((t, 1));
                 }
             }
-            for (c, s) in self.shards.iter().enumerate() {
-                if let Some(t) = s.peek_time() {
-                    if best.is_none_or(|(bt, _)| t < bt) {
-                        best = Some((t, 2 + c));
-                    }
+            let head = self.heads.min();
+            mimd_sim::sim_invariant!(
+                head == self
+                    .shards
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(c, s)| s.peek_time().map(|t| (t, c)))
+                    .min(),
+                "indexed shard head {head:?} differs from a scan of every shard"
+            );
+            if let Some((t, c)) = head {
+                if best.is_none_or(|(bt, _)| t < bt) {
+                    best = Some((t, 2 + c));
                 }
             }
             let Some((now, rank)) = best else {
@@ -849,9 +861,11 @@ impl ArraySim {
                 }
                 c => {
                     self.shards[c - 2].step(&self.layout, &mut self.shared_nvram);
+                    self.touched(c - 2);
                 }
             }
             self.pump_notes();
+            self.rekey();
             if let Some(cl) = self.closed_loop.as_ref() {
                 if self.report.completed >= cl.target {
                     break;
@@ -872,22 +886,40 @@ impl ArraySim {
             .is_some_and(|cl| self.report.completed >= cl.target)
     }
 
-    /// Applies every queued shard note, in emission order, until the sweep
+    /// Records a conductor call into shard `c`: its head may have moved,
+    /// and it may now hold notes.
+    fn touched(&mut self, c: usize) {
+        self.dirty.insert(c);
+        if !self.shards[c].notes.is_empty() {
+            self.noted.insert(c);
+        }
+    }
+
+    /// Re-keys the head index for every shard touched since the last call.
+    fn rekey(&mut self) {
+        while let Some(c) = self.dirty.pop() {
+            self.heads.set(c, self.shards[c].peek_time());
+        }
+    }
+
+    /// Applies every queued shard note, in emission order, until a sweep
     /// finds none — iterative, so a completion whose replenishment fails
-    /// immediately (all copies dead) cannot recurse. Stops at the closed
-    /// loop's completion target, leaving later notes queued, so a chain of
-    /// instantly-failing replenishments cannot overshoot the target.
+    /// immediately (all copies dead) cannot recurse. A sweep visits the
+    /// shards holding notes in ascending index order; one that gains notes
+    /// mid-sweep is visited in this sweep if it lies ahead of the cursor,
+    /// else in the next. Stops at the closed loop's completion target,
+    /// leaving later notes queued, so a chain of instantly-failing
+    /// replenishments cannot overshoot the target.
     fn pump_notes(&mut self) {
         loop {
             if self.closed_target_reached() {
                 return;
             }
             let mut any = false;
-            for c in 0..self.shards.len() {
-                if self.shards[c].notes.is_empty() {
-                    continue;
-                }
+            let mut from = 0;
+            while let Some(c) = self.noted.take_first_from(from) {
                 any = true;
+                from = c + 1;
                 let notes = std::mem::take(&mut self.shards[c].notes);
                 let mut it = notes.iter();
                 while let Some(&note) = it.next() {
@@ -898,6 +930,7 @@ impl ArraySim {
                         let mut rest: Vec<Note> = it.copied().collect();
                         rest.append(&mut self.shards[c].notes);
                         self.shards[c].notes = rest;
+                        self.touched(c);
                         return;
                     }
                 }
@@ -1060,6 +1093,7 @@ impl ArraySim {
                 let g = self.layout.group_of(frag);
                 self.shards[g].submit_frag(&self.layout, now, id, frag, write, fg_write, stripe);
                 self.shards[g].kick(now, &mut self.shared_nvram);
+                self.touched(g);
             }
         }
         frags.clear();

@@ -521,11 +521,6 @@ impl Shard {
         }
     }
 
-    /// Schedules a disk-failure event (fault injection / public API).
-    pub(crate) fn schedule_failure(&mut self, at: SimTime, disk: usize) {
-        self.events.push(at, ColEvent::DiskFail(disk));
-    }
-
     /// Arms the fault plan's events for this shard's disks (idempotent).
     pub(crate) fn arm(&mut self) {
         let (base, width) = (self.base, self.width);

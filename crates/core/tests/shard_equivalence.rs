@@ -8,10 +8,10 @@
 //! runs, across randomized shapes/workloads and through a faulted
 //! hot-spare rebuild running alongside cross-group traffic.
 
-use mimd_core::{ArraySim, EngineConfig, FaultPlan, ParityConfig, Shape};
+use mimd_core::{ArraySim, CacheConfig, EngineConfig, FaultPlan, ParityConfig, Shape};
 use mimd_sim::check::check_cases;
-use mimd_sim::SimTime;
-use mimd_workload::{SyntheticSpec, Trace};
+use mimd_sim::{SimDuration, SimTime};
+use mimd_workload::{IometerSpec, SyntheticSpec, Trace};
 
 /// One captured run: the full pop stream, the witness, and the report's
 /// complete `Debug` rendering (which covers every counter and sample).
@@ -116,6 +116,100 @@ fn raid5_pop_stream_equals_serial() {
     let trace = SyntheticSpec::cello_base().generate(4242, 1_200);
     let cfg = EngineConfig::new(Shape::striping(8)).with_parity(ParityConfig::raid5(4));
     assert_equivalent(&cfg, &trace, "raid5 healthy");
+}
+
+/// What pins an interleaved run: the witness, the number of pops, an
+/// FNV-1a digest over every captured `(time, entity, seq, disk, kind)`,
+/// and one over the report's `Debug` rendering, whose samples are listed in
+/// completion order.
+fn interleaved_pins(sim: &mut ArraySim, report: &mimd_core::RunReport) -> [u64; 4] {
+    fn fnv(h: u64, x: u64) -> u64 {
+        (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
+    }
+    let pops = sim.take_pop_stream();
+    let mut pop_h = 0xcbf2_9ce4_8422_2325u64;
+    for &(t, e, s, d, k) in &pops {
+        for x in [t, u64::from(e), s, u64::from(d), u64::from(k)] {
+            pop_h = fnv(pop_h, x);
+        }
+    }
+    let report_h = format!("{report:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| fnv(h, u64::from(b)));
+    [report.witness, pops.len() as u64, pop_h, report_h]
+}
+
+// The three interleaved runs below are pinned to the values the engine
+// produced with a linear per-event scan over every shard's head and note
+// buffer. The indexed conductor must reproduce them exactly.
+
+#[test]
+fn wide_raid10_closed_loop_keeps_its_pinned_pop_stream() {
+    let cfg = EngineConfig::new(Shape::raid10(128).expect("even"))
+        .with_perfect_knowledge()
+        .with_seed(7);
+    let mut sim = ArraySim::new(cfg, 16_000_000).expect("fits");
+    sim.set_pop_capture(true);
+    let spec = IometerSpec::microbench(16_000_000, 0.8);
+    let report = sim.run_closed_loop(&spec, 8 * 128, 6_000);
+    assert_eq!(report.completed, 6_000);
+    assert_eq!(
+        interleaved_pins(&mut sim, &report),
+        [
+            5_143_342_966_636_630_769,
+            6_334,
+            7_727_684_804_785_299_746,
+            6_081_100_332_961_981_538
+        ]
+    );
+}
+
+#[test]
+fn cached_cello_replay_keeps_its_pinned_pop_stream() {
+    let trace = SyntheticSpec::cello_base().generate(77, 3_000);
+    let cfg = EngineConfig::new(Shape::sr_array(2, 3).expect("valid")).with_cache(CacheConfig {
+        bytes: 2 << 20,
+        hit_time: SimDuration::from_micros(100),
+    });
+    let mut sim = ArraySim::new(cfg, trace.data_sectors).expect("fits");
+    sim.set_pop_capture(true);
+    let report = sim.run_trace(&trace);
+    assert_eq!(report.completed, 3_000);
+    assert!(report.cache_hits > 0, "the cache must see hits");
+    assert_eq!(
+        interleaved_pins(&mut sim, &report),
+        [
+            167_949_311_556_843_084,
+            9_293,
+            1_284_793_194_123_150_404,
+            4_459_791_075_247_984_569
+        ]
+    );
+}
+
+#[test]
+fn all_disks_dead_closed_loop_keeps_its_pinned_pop_stream() {
+    // Every replenishment fails instantly inside `submit`, so completions
+    // flow through the pending-notes path rather than shard events. The
+    // 256-sector reads span both mirror groups, so each request leaves
+    // notes on two shards.
+    let plan = (0..4).fold(FaultPlan::new(), |p, d| p.fail_stop(d, SimTime::ZERO));
+    let cfg = EngineConfig::new(Shape::raid10(4).expect("even")).with_faults(plan);
+    let mut sim = ArraySim::new(cfg, 8_000_000).expect("fits");
+    sim.set_pop_capture(true);
+    let spec = IometerSpec::sequential_read(8_000_000, 256);
+    let report = sim.run_closed_loop(&spec, 4, 5_000);
+    assert_eq!(report.completed, 5_000);
+    assert_eq!(report.failed_requests, 5_000);
+    assert_eq!(
+        interleaved_pins(&mut sim, &report),
+        [
+            8_346_637_013_788_835_338,
+            4,
+            9_538_273_713_023_770_431,
+            18_296_109_077_293_848_789
+        ]
+    );
 }
 
 #[test]

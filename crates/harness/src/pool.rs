@@ -12,17 +12,18 @@
 //!
 //! A job that can itself go parallel (an `ArraySim` running sharded) must
 //! size its internal worker count from [`shard_budget`], never from the
-//! machine's core count or `MIMD_THREADS` directly. The budget divides
-//! the machine's cores by the number of pool workers currently active, so
-//! `jobs × shards` never oversubscribes the machine: 8 grid cells on an
-//! 8-core box each get a budget of 1 (stay serial), while a single
-//! engine-scaling job gets the whole machine.
+//! machine's core count or `MIMD_THREADS` directly. Each pool worker gets
+//! an equal share of its caller's budget (the machine's cores outside any
+//! pool) for its lifetime, so `jobs × shards` never oversubscribes the
+//! machine: 8 grid cells on an 8-core box each get a budget of 1 (stay
+//! serial), while a single engine-scaling job gets the whole machine.
 //!
 //! Panic isolation: each job runs under `catch_unwind`, so one panicking
 //! grid cell cannot tear down a sweep that has hours of sibling work in
 //! flight. Every other job still runs to completion; afterwards the map
 //! panics once with the index and payload of each failed job.
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -42,27 +43,29 @@ pub fn configured_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Worker threads currently claimed by in-flight [`parallel_map`] calls
-/// (0 when none is running). Bookkeeping only — never used to order or
-/// gate simulation work, so it cannot affect results.
-static ACTIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// The budget of the pool worker running on this thread, set for the
+    /// worker's lifetime; `None` on threads no pool spawned. Bookkeeping
+    /// only — never used to order or gate simulation work, so it cannot
+    /// affect results.
+    static WORKER_BUDGET: Cell<Option<usize>> = const { Cell::new(None) };
+}
 
 /// The thread budget available to one pool job for *nested* parallelism
-/// (e.g. `ArraySim::set_parallelism`): the machine's cores divided by the
-/// pool workers currently active, never below 1.
+/// (e.g. `ArraySim::set_parallelism`), never below 1.
 ///
 /// Called outside any `parallel_map`, this is the machine's available
-/// parallelism. Called from inside a job, it shrinks so that every
-/// concurrently-running job can use its budget without the combined
-/// thread count exceeding the machine. Deliberately based on available
-/// cores, not `MIMD_THREADS`: the env var sizes the *pool*, while the
-/// budget guards the *machine*.
+/// parallelism. Called from inside a job of an `n`-worker map, it is the
+/// map caller's budget divided by `n`, so every concurrently-running job
+/// can use its budget without the combined thread count exceeding the
+/// machine. Deliberately based on available cores, not `MIMD_THREADS`:
+/// the env var sizes the *pool*, while the budget guards the *machine*.
 pub fn shard_budget() -> usize {
-    let avail = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let active = ACTIVE_WORKERS.load(Ordering::Relaxed).max(1);
-    (avail / active).max(1)
+    WORKER_BUDGET.with(Cell::get).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// The panic payload of one failed job, rendered for the aggregate error.
@@ -153,11 +156,12 @@ where
     let cursor = AtomicUsize::new(0);
     let mut indexed: Vec<(usize, R)> = Vec::with_capacity(n);
     let mut failures: Vec<(usize, String)> = Vec::new();
-    ACTIVE_WORKERS.fetch_add(threads, Ordering::Relaxed);
+    let budget = (shard_budget() / threads).max(1);
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 s.spawn(|| {
+                    WORKER_BUDGET.with(|b| b.set(Some(budget)));
                     let mut local: Vec<(usize, R)> = Vec::new();
                     let mut broken: Vec<(usize, String)> = Vec::new();
                     loop {
@@ -185,7 +189,6 @@ where
             failures.extend(broken);
         }
     });
-    ACTIVE_WORKERS.fetch_sub(threads, Ordering::Relaxed);
     failures.sort_by_key(|(i, _)| *i);
     raise_job_panics(failures);
     indexed.sort_by_key(|(i, _)| *i);
@@ -267,6 +270,31 @@ mod tests {
             );
         }
         assert_eq!(shard_budget(), avail, "budget restored after the map");
+    }
+
+    #[test]
+    fn a_running_map_leaves_other_threads_budgets_alone() {
+        let avail = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        let inside = std::sync::Barrier::new(2);
+        let checked = std::sync::Barrier::new(2);
+        let seen = std::thread::scope(|s| {
+            s.spawn(|| {
+                parallel_map_with(2, vec![0u8, 1], |&j| {
+                    if j == 0 {
+                        inside.wait();
+                        checked.wait();
+                    }
+                })
+            });
+            // A job of the 2-worker map is running now.
+            inside.wait();
+            let seen = shard_budget();
+            checked.wait();
+            seen
+        });
+        assert_eq!(seen, avail, "a sibling map must not shrink this budget");
     }
 
     #[test]
