@@ -20,7 +20,7 @@
 //!
 //! The engine is split along the array's mirror-group boundary: one
 //! [`shard::Shard`] per group owns that group's disks, drive queues,
-//! calendar wheel, fault context, and named RNG streams (every physical
+//! event queue, fault context, and named RNG streams (every physical
 //! consequence of a fragment — replicas, duplicates, retries, rebuild
 //! traffic — stays inside its group). `ArraySim` is the *conductor*: it
 //! routes each request's fragments to the owning shards as timestamped
@@ -53,7 +53,7 @@ mod shard;
 use std::collections::VecDeque;
 
 use mimd_disk::DiskParams;
-use mimd_disk::{Geometry, PositionKnowledge, SeekProfile, SimDisk, TimingPath};
+use mimd_disk::{Geometry, PositionKnowledge, SeekProfile, TimingPath};
 use mimd_sim::{DetWitness, EventQueue, SimDuration, SimRng, SimTime};
 use mimd_workload::{IometerSpec, Op, RequestSource, Trace};
 
@@ -236,12 +236,19 @@ pub(crate) const SCHED_WINDOW: usize = 128;
 pub(crate) const TASK_POOL_CAP: usize = 256;
 
 /// Compacts `reps[start..]` — runs of `dr` replicas sharing one disk —
-/// down to the runs whose disk is still alive, preserving order.
-pub(crate) fn compact_live_groups(reps: &mut Vec<Replica>, start: usize, dr: usize, dead: &[bool]) {
+/// down to the runs whose disk is still alive, preserving order. `dead`
+/// covers the disks from global index `base` on.
+pub(crate) fn compact_live_groups(
+    reps: &mut Vec<Replica>,
+    start: usize,
+    dr: usize,
+    dead: &[bool],
+    base: usize,
+) {
     let mut w = start;
     let mut r = start;
     while r < reps.len() {
-        if !dead[reps[r].disk] {
+        if !dead[reps[r].disk - base] {
             if w != r {
                 for k in 0..dr {
                     reps[w + k] = reps[r + k];
@@ -500,25 +507,9 @@ impl ArraySim {
         // bisection costing ~1 ms — and stamp out per-disk copies. The
         // profile's lookup tables are Arc-shared across all spindles.
         let seek = SeekProfile::fit(&cfg.disk_params).map_err(LayoutError::InvalidDiskParams)?;
-        // Disk-completion events land within a few rotations of "now"; a
-        // calendar wheel sized to that horizon makes push/pop O(1). One
-        // probe drive fixes the horizon for every shard.
-        let probe = SimDisk::with_parts(
-            &cfg.disk_params,
-            geometry.clone(),
-            seek.clone(),
-            cfg.timing,
-            cfg.knowledge,
-            0,
-        );
-        let horizon_ns = 4 * probe.rotation_ns();
         let groups = layout.groups();
         let shards: Vec<Shard> = (0..groups)
-            .map(|g| {
-                Shard::new(
-                    g, n, &layout, &cfg, &geometry, &seek, cfg.policy, horizon_ns,
-                )
-            })
+            .map(|g| Shard::new(g, n, &layout, &cfg, &geometry, &seek, cfg.policy))
             .collect();
         let cache = cfg.cache.as_ref().map(|c| LruCache::new(c.bytes));
         let cache_hit_time = cfg
@@ -535,7 +526,7 @@ impl ArraySim {
             shards,
             nvrams: (0..groups).map(|_| Nvram::new(shard_threshold)).collect(),
             shared_nvram,
-            events: EventQueue::with_horizon_ns(horizon_ns),
+            events: EventQueue::new(),
             cfg,
             logicals: LogicalTable::default(),
             next_logical: 0,
@@ -607,9 +598,7 @@ impl ArraySim {
     /// Whether a disk has failed.
     pub fn disk_is_dead(&self, disk: usize) -> bool {
         let w = self.layout.disks_per_group().max(1);
-        self.shards
-            .get(disk / w)
-            .is_some_and(|s| s.dead.get(disk).copied().unwrap_or(false))
+        self.shards.get(disk / w).is_some_and(|s| s.is_dead(disk))
     }
 
     /// Pending delayed replica writes (the NVRAM table occupancy, §3.4).

@@ -8,7 +8,7 @@
 
 //! propagation, hot-spare rebuild traffic — stays on those disks (see
 //! [`crate::layout::Layout::group_of`]). A shard therefore carries its own
-//! disks, drive queues, calendar wheel, fault context, and named RNG
+//! disks, drive queues, event queue, fault context, and named RNG
 //! streams, and never touches another shard's state.
 //!
 //! Cross-shard traffic is carried as timestamped messages:
@@ -343,10 +343,9 @@ pub(crate) struct Shard {
     delayed_keys: Vec<BTreeMap<(u64, u8, u8), TaskId>>,
     look: Vec<LookState>,
     inflight: Vec<Option<InFlight>>,
-    /// Global-length so layout-facing code (`compact_live_groups`,
-    /// `owner_disks` filters) needs no index translation; only this
-    /// shard's slots are ever set.
-    pub(crate) dead: Vec<bool>,
+    /// Per owned disk, indexed by `disk - base`; read through
+    /// [`Shard::is_dead`], which takes a global disk index.
+    dead: Vec<bool>,
     events: EventQueue<ColEvent>,
     jobs: JobRing,
     next_job: u64,
@@ -439,7 +438,6 @@ impl Shard {
     /// array. Per-disk RNG streams are `named_indexed` by **global** disk
     /// index, so the disk population is identical at any shard count and
     /// independent of construction order.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         group: usize,
         ndisks: usize,
@@ -448,7 +446,6 @@ impl Shard {
         geometry: &mimd_disk::Geometry,
         seek: &mimd_disk::SeekProfile,
         policy: Policy,
-        horizon_ns: u64,
     ) -> Shard {
         let shape = lay.shape();
         let width = lay.disks_per_group().max(1);
@@ -498,8 +495,8 @@ impl Shard {
             delayed_keys: vec![BTreeMap::new(); width],
             look: vec![LookState::default(); width],
             inflight: (0..width).map(|_| None).collect(),
-            dead: vec![false; ndisks],
-            events: EventQueue::with_horizon_ns(horizon_ns),
+            dead: vec![false; width],
+            events: EventQueue::new(),
             jobs: JobRing::default(),
             next_job: 0,
             dup_started: DupSet::default(),
@@ -542,6 +539,11 @@ impl Shard {
                 self.events.push(w.until, ColEvent::SlowEnd(w.disk));
             }
         }
+    }
+
+    /// Whether `disk`, a global index this shard owns, has failed.
+    pub(crate) fn is_dead(&self, disk: usize) -> bool {
+        self.dead[disk - self.base]
     }
 
     /// The firing time of this shard's earliest pending event.
@@ -635,7 +637,7 @@ impl Shard {
         let mut reps = std::mem::take(&mut self.group_scratch);
         reps.clear();
         lay.write_groups_into(frag, &mut reps);
-        compact_live_groups(&mut reps, 0, self.dr, &self.dead);
+        compact_live_groups(&mut reps, 0, self.dr, &self.dead, self.base);
         if reps.is_empty() {
             self.notes.push(Note::Part {
                 logical,
@@ -884,7 +886,7 @@ impl Shard {
         now: SimTime,
         nv: &mut Nvram,
     ) {
-        if self.dead[disk] {
+        if self.is_dead(disk) {
             return;
         }
         let l = disk - self.base;
@@ -1119,7 +1121,7 @@ impl Shard {
         track: u64,
         nv: &mut Nvram,
     ) {
-        if self.dead[disk] {
+        if self.is_dead(disk) {
             return; // the queue died with the disk; rehoming handled it
         }
         let l = disk - self.base;
@@ -1166,7 +1168,7 @@ impl Shard {
         groups.clear();
         lay.write_groups_into(task.frag, &mut groups);
         let dr = self.dr;
-        compact_live_groups(&mut groups, 0, dr, &self.dead);
+        compact_live_groups(&mut groups, 0, dr, &self.dead, self.base);
         let ngroups = groups.len() / dr;
         if ngroups == 0 {
             if let Some(ctx) = self.faults.as_mut() {
@@ -1259,10 +1261,10 @@ impl Shard {
     }
 
     fn on_disk_fail(&mut self, lay: &Layout, now: SimTime, disk: usize, nv: &mut Nvram) {
-        if self.dead[disk] {
+        if self.is_dead(disk) {
             return;
         }
-        self.dead[disk] = true;
+        self.dead[disk - self.base] = true;
         self.notes.push(Note::Health {
             at: now,
             kind: HealthKind::Dead,
@@ -1365,14 +1367,14 @@ impl Shard {
                 let any_live = lay
                     .owner_disks(task.frag)
                     .into_iter()
-                    .any(|d| !self.dead[d]);
+                    .any(|d| !self.is_dead(d));
                 self.finish_part(now, task.job, !any_live);
             }
             TaskKind::Read | TaskKind::WriteFirst => {
                 let mut groups = std::mem::take(&mut self.group_scratch);
                 groups.clear();
                 lay.write_groups_into(task.frag, &mut groups);
-                compact_live_groups(&mut groups, 0, self.dr, &self.dead);
+                compact_live_groups(&mut groups, 0, self.dr, &self.dead, self.base);
                 if groups.is_empty() {
                     self.finish_part(now, task.job, true);
                 } else {
@@ -1443,7 +1445,7 @@ impl Shard {
         let base = spare - mirror;
         let live: Vec<usize> = (0..dm)
             .map(|m| base + m)
-            .filter(|&d| d != spare && !self.dead[d])
+            .filter(|&d| d != spare && !self.is_dead(d))
             .collect();
         if live.is_empty() {
             // No survivor left to copy from: the rebuild is abandoned and
@@ -1597,7 +1599,7 @@ impl Shard {
                 }
                 // Every replica is back in place: return the disk to
                 // service for subsequent requests.
-                self.dead[disk] = false;
+                self.dead[disk - self.base] = false;
                 self.notes.push(Note::Health {
                     at: now,
                     kind: HealthKind::Rebuilding,

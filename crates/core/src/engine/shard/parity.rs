@@ -78,7 +78,7 @@ impl Shard {
             self.finish_part(now, job, true);
             return;
         };
-        if !self.dead[loc.data_disk] {
+        if !self.is_dead(loc.data_disk) {
             let op = self.new_parity_op(job, frag, false, false, 1, Vec::new());
             self.issue_parity_leg(op, frag, false, loc.data_disk, loc.target, now);
             return;
@@ -87,7 +87,7 @@ impl Shard {
         // blocks in its row, so every other member must be read.
         let survivors: Vec<usize> = lay
             .parity_members(loc.group)
-            .filter(|&d| d != loc.data_disk && !self.dead[d])
+            .filter(|&d| d != loc.data_disk && !self.is_dead(d))
             .collect();
         if survivors.len() != self.width - 1 {
             // A second dead member makes the XOR short: unrecoverable.
@@ -106,8 +106,8 @@ impl Shard {
             self.finish_part(now, job, true);
             return;
         };
-        let data_dead = self.dead[loc.data_disk];
-        let parity_dead = self.dead[loc.parity_disk];
+        let data_dead = self.is_dead(loc.data_disk);
+        let parity_dead = self.is_dead(loc.parity_disk);
         if data_dead && parity_dead {
             self.finish_part(now, job, true);
         } else if !data_dead && !parity_dead {
@@ -129,7 +129,7 @@ impl Shard {
             // the XOR of peers + new data.
             let peers: Vec<usize> = lay
                 .parity_members(loc.group)
-                .filter(|&d| d != loc.data_disk && d != loc.parity_disk && !self.dead[d])
+                .filter(|&d| d != loc.data_disk && d != loc.parity_disk && !self.is_dead(d))
                 .collect();
             if peers.len() != self.width - 2 {
                 self.finish_part(now, job, true);
@@ -153,7 +153,7 @@ impl Shard {
         // old-value reads.
         let live: Vec<usize> = lay
             .parity_members(group)
-            .filter(|&d| !self.dead[d])
+            .filter(|&d| !self.is_dead(d))
             .collect();
         if live.is_empty() {
             self.finish_part(now, job, true);
@@ -272,7 +272,7 @@ impl Shard {
                 let frag = op.frag;
                 let mut issued = 0u32;
                 for (d, t) in writes {
-                    if self.dead[d] {
+                    if self.is_dead(d) {
                         continue;
                     }
                     self.issue_parity_leg(op_id, frag, true, d, t, now);
@@ -351,7 +351,7 @@ impl Shard {
             return; // completion is accounted in `on_spare_done`
         }
         let survivors: Vec<usize> = (self.base..self.base + self.width)
-            .filter(|&d| d != spare && !self.dead[d])
+            .filter(|&d| d != spare && !self.is_dead(d))
             .collect();
         if survivors.len() != self.width - 1 {
             // Reconstruction needs every survivor; a second dead member

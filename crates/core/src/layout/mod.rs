@@ -15,7 +15,7 @@ pub mod parity;
 pub use mapper::{DataMapper, TrackLoc};
 pub use parity::{ParityConfig, ParityLoc, RaidLevel};
 
-use mimd_disk::{Chs, Geometry, Target};
+use mimd_disk::{frac, Chs, Geometry, Target};
 
 use crate::config::Shape;
 
@@ -438,7 +438,7 @@ impl Layout {
         Target {
             cylinder: loc.cylinder,
             surface,
-            angle: (base_angle + stagger).rem_euclid(1.0),
+            angle: frac(base_angle + stagger),
             sectors,
         }
     }
@@ -480,7 +480,7 @@ impl Layout {
             if pair[0].mirror != pair[1].mirror {
                 continue;
             }
-            let gap = (pair[1].target.angle - pair[0].target.angle).rem_euclid(1.0);
+            let gap = frac(pair[1].target.angle - pair[0].target.angle);
             mimd_sim::sim_invariant!(
                 (gap - step).abs() < 1e-9,
                 "rotational replicas {} and {} of mirror {} sit {gap} apart, expected {step}",

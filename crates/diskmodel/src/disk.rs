@@ -19,7 +19,7 @@
 use mimd_sim::{SimDuration, SimRng, SimTime};
 
 use crate::geometry::Geometry;
-use crate::mechanics::{mod1, ServiceBreakdown, Spindle};
+use crate::mechanics::{mod1, round_u64, ServiceBreakdown, Spindle};
 use crate::params::DiskParams;
 use crate::seek::SeekProfile;
 
@@ -67,60 +67,6 @@ pub struct Target {
     pub angle: f64,
     /// Transfer length in sectors.
     pub sectors: u32,
-}
-
-/// Slots in the [`QuantCache`] direct-mapped memo.
-const QUANT_WAYS: usize = 64;
-
-/// One memoised [`Geometry::quantise_angle`] result.
-#[derive(Debug, Clone, Copy)]
-struct QuantSlot {
-    valid: bool,
-    cylinder: u32,
-    surface: u32,
-    angle_bits: u64,
-    start: f64,
-    sector: u32,
-    spt: u32,
-}
-
-/// A tiny direct-mapped memo for [`Geometry::quantise_angle`].
-///
-/// The quantised start angle of a `(cylinder, surface, angle)` triple is a
-/// pure function of the (immutable) geometry, and the schedulers re-rank
-/// the same queued targets on every pick — so repeat quantisations hit
-/// here instead of redoing the skew `fmod`s. Purely an evaluation cache:
-/// hits return bit-identical values, never changing simulated time.
-#[derive(Debug, Clone)]
-struct QuantCache {
-    // simlint: shard-local(per-disk evaluation memo owned by one SimDisk, itself owned by one engine Shard — never visible to two worker threads at once; hits return bit-identical values)
-    slots: [std::cell::Cell<QuantSlot>; QUANT_WAYS],
-}
-
-impl QuantCache {
-    fn new() -> Self {
-        QuantCache {
-            slots: std::array::from_fn(|_| {
-                std::cell::Cell::new(QuantSlot {
-                    valid: false,
-                    cylinder: 0,
-                    surface: 0,
-                    angle_bits: 0,
-                    start: 0.0,
-                    sector: 0,
-                    spt: 0,
-                })
-            }),
-        }
-    }
-
-    #[inline]
-    fn index(cylinder: u32, surface: u32, angle_bits: u64) -> usize {
-        let h = (cylinder as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ angle_bits
-            ^ ((surface as u64) << 32);
-        (h as usize) & (QUANT_WAYS - 1)
-    }
 }
 
 /// A simulated disk drive.
@@ -188,7 +134,6 @@ pub struct SimDisk {
     rng: SimRng,
     rotation_misses: u64,
     requests_served: u64,
-    quant: QuantCache,
     /// Fail-slow windows `(from, until, factor)`: operations *started*
     /// inside a window take `factor`× their healthy service time. Empty
     /// (the default) costs one branch per `begin`.
@@ -251,7 +196,6 @@ impl SimDisk {
             rng: SimRng::named(seed, "disk-head"),
             rotation_misses: 0,
             requests_served: 0,
-            quant: QuantCache::new(),
             fail_slow: Vec::new(),
         }
     }
@@ -266,30 +210,6 @@ impl SimDisk {
         if factor.is_finite() && factor > 0.0 && until > from {
             self.fail_slow.push((from, until, factor));
         }
-    }
-
-    /// [`Geometry::quantise_angle`] through the per-disk memo.
-    #[inline]
-    fn quantise_cached(&self, cylinder: u32, surface: u32, angle: f64) -> Option<(f64, u32, u32)> {
-        let bits = angle.to_bits();
-        let slot = &self.quant.slots[QuantCache::index(cylinder, surface, bits)];
-        let s = slot.get();
-        if s.valid && s.cylinder == cylinder && s.surface == surface && s.angle_bits == bits {
-            return Some((s.start, s.sector, s.spt));
-        }
-        let r = self.geometry.quantise_angle(cylinder, surface, angle);
-        if let Some((start, sector, spt)) = r {
-            slot.set(QuantSlot {
-                valid: true,
-                cylinder,
-                surface,
-                angle_bits: bits,
-                start,
-                sector,
-                spt,
-            });
-        }
-        r
     }
 
     /// The drive's geometry.
@@ -426,7 +346,8 @@ impl SimDisk {
     fn angle_and_transfer(&self, target: &Target) -> (f64, SimDuration) {
         if self.path == TimingPath::Detailed {
             if let Some((angle, sector, spt)) =
-                self.quantise_cached(target.cylinder, target.surface, target.angle)
+                self.geometry
+                    .quantise_angle(target.cylinder, target.surface, target.angle)
             {
                 let media = self.spindle.arc(target.sectors as f64 / spt as f64);
                 let switches =
@@ -450,6 +371,7 @@ impl SimDisk {
         };
         let media = self.spindle.arc(target.sectors as f64 / spt);
         let switches = match self.path {
+            // simlint: allow(libm-round) — analytic path only; the detailed per-request path never gets here
             TimingPath::Analytic => ((target.sectors as f64 - 1.0) / spt).floor() as u64,
             TimingPath::Detailed => {
                 let sector = self
@@ -561,7 +483,10 @@ impl SimDisk {
     #[inline]
     pub fn sched_base_angle(&self, target: &Target) -> f64 {
         if self.path == TimingPath::Detailed {
-            match self.quantise_cached(target.cylinder, target.surface, target.angle) {
+            match self
+                .geometry
+                .quantise_angle(target.cylinder, target.surface, target.angle)
+            {
                 Some((angle, _, _)) => angle,
                 None => mod1(target.angle),
             }
@@ -591,9 +516,11 @@ impl SimDisk {
     /// the all-read fast path), the arrival fold uses the same saturating
     /// adds, and the rotation wait reduces the phase delta with the same
     /// arithmetic `mod1` (two selects — the delta of two `[0, 1)` phases
-    /// always lies in `(-1, 1)`) before the same `round()`. Per-candidate
-    /// branching is gone: the loop body is select-based and call-free, so
-    /// it auto-vectorizes everywhere the LUT gather allows.
+    /// always lies in `(-1, 1)`) before the same [`round_u64`]. The loop
+    /// body is select-based and makes no call: the rounding is a
+    /// truncating conversion, and only its cold out-of-range fallback
+    /// calls libm. It does not auto-vectorize: the reduction's correction
+    /// loop and the 128-bit multiply keep it scalar.
     ///
     /// Track read-ahead is *hoisted out*, not handled per lane: a potential
     /// buffer hit costs `(0, 0)` regardless of distance, so callers on the
@@ -679,7 +606,7 @@ impl SimDisk {
             let delta = phase[i] - angle;
             let delta = if delta < 0.0 { delta + 1.0 } else { delta };
             let delta = if delta >= 1.0 { 0.0 } else { delta };
-            let rot = (delta * pf).round() as u64;
+            let rot = round_u64(delta * pf);
             pos_out[i] = seek.saturating_add(rot);
             rot_out[i] = rot;
         }

@@ -15,6 +15,7 @@
 //! sequential transfers crossing a track boundary line up with the head
 //! switch.
 
+use crate::mechanics::{ceil_u32, frac};
 use crate::params::DiskParams;
 
 /// Physical address of a sector: cylinder, surface, and sector-within-track.
@@ -215,7 +216,7 @@ impl Geometry {
         }
         let skew = self.track_index(chs.cylinder, chs.surface) as f64 * self.track_skew_frac;
         let within = chs.sector as f64 / z.sectors_per_track as f64;
-        Some((skew + within).rem_euclid(1.0))
+        Some(frac(skew + within))
     }
 
     /// The sector on `(cylinder, surface)` whose start angle is nearest at
@@ -228,10 +229,10 @@ impl Geometry {
         }
         let spt = z.sectors_per_track as f64;
         let skew = self.track_index(cylinder, surface) as f64 * self.track_skew_frac;
-        let within = (angle - skew).rem_euclid(1.0);
+        let within = frac(angle - skew);
         // The epsilon absorbs float error when `angle` is exactly a sector
         // start, so the inverse of `angle_of` returns that same sector.
-        let sector = (within * spt - 1e-6).ceil().max(0.0) as u32 % z.sectors_per_track;
+        let sector = ceil_u32(within * spt - 1e-6) % z.sectors_per_track;
         Some(sector)
     }
 
@@ -255,9 +256,9 @@ impl Geometry {
         }
         let spt = z.sectors_per_track;
         let skew = self.track_index(cylinder, surface) as f64 * self.track_skew_frac;
-        let within = (angle - skew).rem_euclid(1.0);
-        let sector = (within * spt as f64 - 1e-6).ceil().max(0.0) as u32 % spt;
-        let start = (skew + sector as f64 / spt as f64).rem_euclid(1.0);
+        let within = frac(angle - skew);
+        let sector = ceil_u32(within * spt as f64 - 1e-6) % spt;
+        let start = frac(skew + sector as f64 / spt as f64);
         Some((start, sector, spt))
     }
 }

@@ -43,6 +43,6 @@ pub mod seek;
 pub use device::{BlockDevice, DeviceError};
 pub use disk::{PhaseFloorRuler, PositionKnowledge, SimDisk, Target, TimingPath};
 pub use geometry::{Chs, Geometry, ZoneInfo};
-pub use mechanics::{mod1, ServiceBreakdown, Spindle};
+pub use mechanics::{ceil_u32, frac, mod1, round_u64, ServiceBreakdown, Spindle};
 pub use params::{DiskParams, ZoneSpec};
 pub use seek::SeekProfile;

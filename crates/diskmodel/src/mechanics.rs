@@ -2,23 +2,101 @@
 
 use mimd_sim::{SimDuration, SimTime};
 
-/// Reduces an angle to the canonical `[0, 1)` revolution fraction.
+// The exact helpers below replace `rem_euclid`, `round` and `ceil`, which
+// are libm calls on baseline x86-64, with one truncating conversion
+// (`cvttsd2si`) plus exact float arithmetic. Each covers the range its
+// callers feed, bit for bit, and sends anything else (huge magnitudes,
+// infinities, NaN) to the std operation on a cold path.
+
+/// `2^52`: from here on every `f64` is an integer.
+const TWO_52: f64 = 4_503_599_627_370_496.0;
+/// `2^63`: the first value an `i64` cannot hold.
+const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+/// `2^31`.
+const TWO_31: f64 = 2_147_483_648.0;
+
+/// `x.rem_euclid(1.0)`, bit for bit, without the `fmod` call.
+///
+/// For `|x| < 2^52`, `x - trunc(x)` is exact (it keeps the fractional
+/// bits), which is what `fmod(x, 1.0)` returns, except that `fmod` keeps
+/// the sign of `x` on a zero result: a negative integer or `-0.0` gives
+/// `-0.0`, hence the `copysign`.
+#[inline]
+pub fn frac(x: f64) -> f64 {
+    if x.abs() < TWO_52 {
+        let r = (x - x as i64 as f64).copysign(x);
+        if r < 0.0 {
+            r + 1.0
+        } else {
+            r
+        }
+    } else {
+        frac_cold(x)
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn frac_cold(x: f64) -> f64 {
+    x.rem_euclid(1.0) // simlint: allow(libm-round) — cold fallback outside the exact range
+}
+
+/// `v.round() as u64` (half away from zero), bit for bit, without the
+/// `round` call. Exact for `0 <= v < 2^63`: the truncated part is exact
+/// and the fraction `v - trunc(v)` is exact, so comparing it with one
+/// half decides the tie the same way `round` does (`0.49999999999999994`
+/// included, which `(v + 0.5) as u64` gets wrong).
+#[inline]
+pub fn round_u64(v: f64) -> u64 {
+    if (0.0..TWO_63).contains(&v) {
+        let t = v as i64;
+        (t + i64::from(v - t as f64 >= 0.5)) as u64
+    } else {
+        round_u64_cold(v)
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn round_u64_cold(v: f64) -> u64 {
+    v.round() as u64 // simlint: allow(libm-round) — cold fallback outside the exact range
+}
+
+/// `v.ceil().max(0.0) as u32`, bit for bit, without the `ceil` call.
+/// Exact for `|v| < 2^31`.
+#[inline]
+pub fn ceil_u32(v: f64) -> u32 {
+    if v.abs() < TWO_31 {
+        let t = v as i64;
+        (t + i64::from((t as f64) < v)).max(0) as u32
+    } else {
+        ceil_u32_cold(v)
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn ceil_u32_cold(v: f64) -> u32 {
+    v.ceil().max(0.0) as u32 // simlint: allow(libm-round) — cold fallback outside the exact range
+}
+
+/// Reduces an angle to the canonical `[0, 1)` revolution fraction:
+/// [`frac`], with the `1.0` that `rem_euclid` returns for tiny negative
+/// inputs folded to `0.0`.
 ///
 /// The scheduler's inner loop only ever passes angle *differences* in
-/// `(-1, 1)`; for those the fast paths below are bit-identical to
-/// `rem_euclid(1.0)` (`fmod` of `|x| < 1` by one returns `x` unchanged,
-/// so the reduction is at most the same single add) without the `fmod`
-/// libcall.
+/// `(-1, 1)`; for those the fast paths below return what [`frac`] would
+/// with at most a single add.
 #[inline]
 pub fn mod1(x: f64) -> f64 {
     if (0.0..1.0).contains(&x) {
         return x;
     }
-    if -1.0 < x && x < 0.0 {
-        let r = x + 1.0;
-        return if r >= 1.0 { 0.0 } else { r };
-    }
-    let r = x.rem_euclid(1.0);
+    let r = if -1.0 < x && x < 0.0 {
+        x + 1.0
+    } else {
+        frac(x)
+    };
     if r >= 1.0 {
         0.0
     } else {
@@ -68,14 +146,14 @@ impl Spindle {
     #[inline]
     pub fn wait_until_angle(&self, t: SimTime, target: f64) -> SimDuration {
         let delta = mod1(target - self.angle_at(t));
-        SimDuration::from_nanos((delta * self.period.as_nanos() as f64).round() as u64)
+        SimDuration::from_nanos(round_u64(delta * self.period.as_nanos() as f64))
     }
 
-    /// Duration of a rotational arc of `frac` revolutions (`frac >= 0`).
+    /// Duration of a rotational arc of `revs` revolutions (`revs >= 0`).
     #[inline]
-    pub fn arc(&self, frac: f64) -> SimDuration {
-        debug_assert!(frac >= 0.0);
-        SimDuration::from_nanos((frac * self.period.as_nanos() as f64).round() as u64)
+    pub fn arc(&self, revs: f64) -> SimDuration {
+        debug_assert!(revs >= 0.0);
+        SimDuration::from_nanos(round_u64(revs * self.period.as_nanos() as f64))
     }
 }
 

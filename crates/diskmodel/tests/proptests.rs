@@ -2,7 +2,8 @@
 //! deterministic in-repo harness (`mimd_sim::check`).
 
 use mimd_disk::{
-    Chs, DiskParams, Geometry, PositionKnowledge, SeekProfile, SimDisk, Spindle, Target, TimingPath,
+    ceil_u32, frac, round_u64, Chs, DiskParams, Geometry, PositionKnowledge, SeekProfile, SimDisk,
+    Spindle, Target, TimingPath,
 };
 use mimd_sim::check::{check_cases, f64_in};
 use mimd_sim::{SimDuration, SimTime};
@@ -215,5 +216,98 @@ fn phase_offsets_shift_rotation_only() {
         let delta = (diff_ns - expected).rem_euclid(period);
         let delta = delta.min(period - delta);
         assert!(delta < 2_000, "delta {delta} ns");
+    });
+}
+
+/// `a` and `b` are the same `f64`: equal bits, or both NaN.
+fn same_f64(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+fn check_frac(x: f64) {
+    let (got, want) = (frac(x), x.rem_euclid(1.0));
+    assert!(
+        same_f64(got, want),
+        "frac({x:e}) = {got:e}, rem_euclid {want:e}"
+    );
+}
+
+fn check_round_u64(v: f64) {
+    let (got, want) = (round_u64(v), v.round() as u64);
+    assert_eq!(got, want, "round_u64({v:e})");
+}
+
+fn check_ceil_u32(v: f64) {
+    let (got, want) = (ceil_u32(v), v.ceil().max(0.0) as u32);
+    assert_eq!(got, want, "ceil_u32({v:e})");
+}
+
+/// Inputs at the edges of each helper's exact range and of the std
+/// operations' special cases.
+const EDGES: [f64; 34] = [
+    0.0,
+    -0.0,
+    -1.0,
+    -3.0,
+    -1_099_511_627_776.0,
+    1.0,
+    0.499_999_999_999_999_94,
+    -0.499_999_999_999_999_94,
+    0.5,
+    1.5,
+    2.5,
+    -0.5,
+    -2.5,
+    1e-20,
+    -1e-20,
+    4_503_599_627_370_495.5,
+    -4_503_599_627_370_495.5,
+    4_503_599_627_370_496.0,
+    4_503_599_627_370_497.0,
+    -4_503_599_627_370_496.0,
+    2_147_483_647.5,
+    2_147_483_648.0,
+    -2_147_483_648.5,
+    9_223_372_036_854_774_784.0,
+    9_223_372_036_854_775_808.0,
+    f64::MIN_POSITIVE,
+    f64::MIN_POSITIVE / 2.0,
+    -f64::MIN_POSITIVE / 2.0,
+    5e-324,
+    -5e-324,
+    f64::MAX,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+];
+
+#[test]
+fn exact_helpers_match_std_on_edges() {
+    for &x in &EDGES {
+        check_frac(x);
+        check_round_u64(x);
+        check_ceil_u32(x);
+    }
+}
+
+#[test]
+fn exact_helpers_match_std_on_caller_ranges() {
+    // The ranges the timing path feeds: skew sums up to ~1e5, phase
+    // deltas in (-1, 1), rotation products up to ~1e7, sector positions
+    // up to a track's length; plus arbitrary bit patterns, which reach
+    // every exponent and the cold fallbacks.
+    check_cases("exact helpers match std", 16, |_, rng| {
+        for _ in 0..10_000 {
+            check_frac(f64_in(rng, -1e5, 1e5));
+            check_frac(f64_in(rng, -1.0, 1.0));
+            check_round_u64(f64_in(rng, 0.0, 1e7));
+            // Ties: every integer plus one half is exactly representable.
+            check_round_u64(rng.below(10_000_000) as f64 + 0.5);
+            check_ceil_u32(f64_in(rng, 0.0, 1.0) * 248.0 - 1e-6);
+            let bits = f64::from_bits(rng.below(u64::MAX));
+            check_frac(bits);
+            check_round_u64(bits);
+            check_ceil_u32(bits);
+        }
     });
 }

@@ -8,32 +8,17 @@
 //!
 //! # Implementation
 //!
-//! The queue is a calendar (timing-wheel) queue rather than a binary heap:
-//! a ring of `NBUCKETS` buckets, each spanning `2^shift` nanoseconds, plus
-//! an unsorted *far list* for events beyond the wheel's horizon
-//! (`NBUCKETS << shift` ns past the cursor). Simulated disk events cluster
-//! within a few rotation periods of "now", so nearly every push lands in the
-//! wheel, nearly every bucket holds zero or one events, and both `push` and
-//! `pop` are O(1) amortised instead of the heap's O(log n) — with no
-//! steady-state allocation (buckets reuse their capacity).
-//!
-//! Exactness: within the wheel's window each bucket corresponds to exactly
-//! one absolute slot, so visiting buckets in circular order from the cursor
-//! is exact slot order; within a bucket, `pop` selects the minimum
-//! `(time, seq)` entry, which reproduces the heap's (time, FIFO) order
-//! bit-for-bit. Far-list events all lie beyond every wheel event, and are
-//! migrated into the wheel whenever the cursor advances far enough that the
-//! window could reach them, so they can never be popped late. The test suite
-//! checks the pop sequence against a reference binary heap under randomized
-//! interleaved push/pop workloads.
+//! A binary heap over `(time, seq)`, where `seq` is the queue's insertion
+//! counter, so equal-time events pop in FIFO order. The engine keeps one
+//! queue per shard and a shard holds few events at once (at most one disk
+//! completion per disk, plus request timeouts and fault edges), so the
+//! heap's `O(log n)` is a handful of compares, with no bucket array to
+//! allocate per queue.
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
-
-/// Number of wheel buckets. A power of two so slot→bucket is a mask.
-const NBUCKETS: usize = 256;
-/// Default bucket width exponent: 2^16 ns = 65.5 µs per bucket, giving a
-/// ~16.8 ms horizon — a few disk rotation periods.
-const DEFAULT_SHIFT: u32 = 16;
 
 /// A time-ordered event queue with FIFO tie-breaking.
 ///
@@ -51,21 +36,7 @@ const DEFAULT_SHIFT: u32 = 16;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Ring of buckets; bucket `s & (NBUCKETS-1)` holds the events of
-    /// absolute slot `s` once `s` is inside the window
-    /// `[cur_slot, cur_slot + NBUCKETS)`.
-    wheel: Vec<Vec<Entry<E>>>,
-    /// One bit per bucket: set iff the bucket is non-empty.
-    occupied: [u64; NBUCKETS / 64],
-    /// Events with slots at or beyond the window; unsorted.
-    far: Vec<Entry<E>>,
-    /// Minimum slot present in `far` (`u64::MAX` when `far` is empty).
-    far_min_slot: u64,
-    /// Bucket width is `2^shift` nanoseconds.
-    shift: u32,
-    /// Slot containing the frontier; the wheel window starts here.
-    cur_slot: u64,
-    len: usize,
+    heap: BinaryHeap<Entry<E>>,
     seq: u64,
     /// Time of the most recent pop; pushes and pops must not precede it.
     frontier: SimTime,
@@ -78,51 +49,42 @@ struct Entry<E> {
     event: E,
 }
 
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Reversed, so the max-heap's top is the minimum `(time, seq)`.
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
 impl<E> EventQueue<E> {
-    /// Creates an empty queue with the default event horizon.
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::with_shift(DEFAULT_SHIFT)
-    }
-
-    /// Creates an empty queue with pre-allocated far-list capacity.
-    ///
-    /// Wheel buckets grow on first use regardless; `cap` only pre-sizes the
-    /// overflow list, so this matters for workloads that schedule far ahead.
-    pub fn with_capacity(cap: usize) -> Self {
-        let mut q = Self::with_shift(DEFAULT_SHIFT);
-        q.far.reserve(cap);
-        q
-    }
-
-    /// Creates an empty queue whose wheel spans at least `horizon_ns`
-    /// nanoseconds, so events within that horizon of the cursor avoid the
-    /// overflow list. Callers size this to the disk-event horizon (a few
-    /// rotation periods).
-    pub fn with_horizon_ns(horizon_ns: u64) -> Self {
-        let mut shift = 10;
-        while ((NBUCKETS as u64) << shift) < horizon_ns && shift < 40 {
-            shift += 1;
-        }
-        Self::with_shift(shift)
-    }
-
-    fn with_shift(shift: u32) -> Self {
         EventQueue {
-            wheel: (0..NBUCKETS).map(|_| Vec::new()).collect(),
-            occupied: [0; NBUCKETS / 64],
-            far: Vec::new(),
-            far_min_slot: u64::MAX,
-            shift,
-            cur_slot: 0,
-            len: 0,
+            heap: BinaryHeap::new(),
             seq: 0,
             frontier: SimTime::ZERO,
         }
     }
 
-    #[inline]
-    fn slot_of(&self, at: SimTime) -> u64 {
-        at.as_nanos() >> self.shift
+    /// Creates an empty queue; the horizon is ignored. This sized the
+    /// timing wheel the heap replaced, and is kept for callers that still
+    /// pass one.
+    pub fn with_horizon_ns(_horizon_ns: u64) -> Self {
+        Self::new()
     }
 
     /// Schedules `event` to fire at instant `at`.
@@ -137,19 +99,7 @@ impl<E> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        // Release builds tolerate a past push by clamping into the current
-        // slot; min-(at, seq) selection within the bucket still pops it first.
-        let s = self.slot_of(at).max(self.cur_slot);
-        let entry = Entry { at, seq, event };
-        if s < self.cur_slot + NBUCKETS as u64 {
-            let b = (s as usize) & (NBUCKETS - 1);
-            self.wheel[b].push(entry);
-            self.occupied[b / 64] |= 1 << (b % 64);
-        } else {
-            self.far.push(entry);
-            self.far_min_slot = self.far_min_slot.min(s);
-        }
-        self.len += 1;
+        self.heap.push(Entry { at, seq, event });
     }
 
     /// Removes and returns the earliest event, if any.
@@ -162,35 +112,7 @@ impl<E> EventQueue<E> {
     /// The engine folds it into the determinism witness so two pops at
     /// the same nanosecond remain distinguishable in the digest.
     pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.len == self.far.len() {
-            // Wheel is empty: jump the cursor to the far list's first slot.
-            self.advance_to(self.far_min_slot);
-        }
-        // `len > far.len()` guarantees an occupied bucket exists; the `?`
-        // keeps this branch panic-free regardless.
-        let b = self.next_occupied_from(self.cur_slot)?;
-        // The absolute slot this bucket holds within the current window.
-        let offset = (b as u64).wrapping_sub(self.cur_slot) & (NBUCKETS as u64 - 1);
-        let ws = self.cur_slot + offset;
-        if ws > self.cur_slot {
-            self.advance_to(ws);
-        }
-        let bucket = &mut self.wheel[b];
-        let mut best = 0;
-        for i in 1..bucket.len() {
-            let (e, c) = (&bucket[i], &bucket[best]);
-            if (e.at, e.seq) < (c.at, c.seq) {
-                best = i;
-            }
-        }
-        let e = bucket.swap_remove(best);
-        if bucket.is_empty() {
-            self.occupied[b / 64] &= !(1 << (b % 64));
-        }
-        self.len -= 1;
+        let e = self.heap.pop()?;
         crate::sim_invariant!(
             e.at >= self.frontier,
             "event queue popped {} after frontier {}",
@@ -199,55 +121,6 @@ impl<E> EventQueue<E> {
         );
         self.frontier = e.at;
         Some((e.at, e.seq, e.event))
-    }
-
-    /// Moves the cursor forward to `new_cur` and pulls far-list events whose
-    /// slots entered the window into the wheel.
-    fn advance_to(&mut self, new_cur: u64) {
-        self.cur_slot = new_cur;
-        if self.far_min_slot >= new_cur + NBUCKETS as u64 {
-            return;
-        }
-        let mut min_slot = u64::MAX;
-        let mut i = 0;
-        while i < self.far.len() {
-            let s = self.slot_of(self.far[i].at);
-            if s < new_cur + NBUCKETS as u64 {
-                let entry = self.far.swap_remove(i);
-                let b = (s as usize) & (NBUCKETS - 1);
-                self.wheel[b].push(entry);
-                self.occupied[b / 64] |= 1 << (b % 64);
-            } else {
-                min_slot = min_slot.min(s);
-                i += 1;
-            }
-        }
-        self.far_min_slot = min_slot;
-    }
-
-    /// First non-empty bucket at or circularly after `from_slot`'s bucket.
-    fn next_occupied_from(&self, from_slot: u64) -> Option<usize> {
-        let start = (from_slot as usize) & (NBUCKETS - 1);
-        let (w0, bit0) = (start / 64, start % 64);
-        let words = NBUCKETS / 64;
-        // First word: mask off bits before the start position.
-        let masked = self.occupied[w0] & (!0u64 << bit0);
-        if masked != 0 {
-            return Some(w0 * 64 + masked.trailing_zeros() as usize);
-        }
-        for k in 1..=words {
-            let w = (w0 + k) % words;
-            let bits = if w == w0 {
-                // Wrapped all the way: bits before the start position.
-                self.occupied[w0] & !(!0u64 << bit0)
-            } else {
-                self.occupied[w]
-            };
-            if bits != 0 {
-                return Some(w * 64 + bits.trailing_zeros() as usize);
-            }
-        }
-        None
     }
 
     /// The firing time of the earliest pending event, if any.
@@ -262,14 +135,7 @@ impl<E> EventQueue<E> {
     /// assert_eq!(q.peek_time(), Some(SimTime::from_micros(4)));
     /// ```
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.len == self.far.len() {
-            return self.far.iter().map(|e| e.at).min();
-        }
-        let b = self.next_occupied_from(self.cur_slot)?;
-        self.wheel[b].iter().map(|e| e.at).min()
+        self.heap.peek().map(|e| e.at)
     }
 
     /// Number of pending events.
@@ -283,7 +149,7 @@ impl<E> EventQueue<E> {
     /// assert_eq!(q.len(), 2);
     /// ```
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether no events are pending.
@@ -297,20 +163,13 @@ impl<E> EventQueue<E> {
     /// assert!(!q.is_empty());
     /// ```
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// Removes all pending events and resets the monotonicity frontier
     /// (the queue may then be reused for a fresh run from t = 0).
     pub fn clear(&mut self) {
-        for bucket in &mut self.wheel {
-            bucket.clear();
-        }
-        self.occupied = [0; NBUCKETS / 64];
-        self.far.clear();
-        self.far_min_slot = u64::MAX;
-        self.cur_slot = 0;
-        self.len = 0;
+        self.heap.clear();
         self.frontier = SimTime::ZERO;
     }
 }
@@ -318,63 +177,6 @@ impl<E> EventQueue<E> {
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// The PR 2 implementation, kept as the test oracle: a binary heap over
-/// `(time, seq)` with inverted ordering.
-#[cfg(test)]
-#[derive(Debug, Default)]
-pub(crate) struct HeapQueue<E> {
-    heap: std::collections::BinaryHeap<HeapEntry<E>>,
-    seq: u64,
-}
-
-#[cfg(test)]
-#[derive(Debug)]
-struct HeapEntry<E> {
-    at: SimTime,
-    seq: u64,
-    event: E,
-}
-
-#[cfg(test)]
-impl<E> PartialEq for HeapEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-#[cfg(test)]
-impl<E> Eq for HeapEntry<E> {}
-
-#[cfg(test)]
-impl<E> PartialOrd for HeapEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-#[cfg(test)]
-impl<E> Ord for HeapEntry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-#[cfg(test)]
-impl<E> HeapQueue<E> {
-    pub(crate) fn push(&mut self, at: SimTime, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(HeapEntry { at, seq, event });
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| (e.at, e.event))
     }
 }
 
@@ -431,36 +233,42 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, 5);
     }
 
-    #[test]
-    fn far_events_beyond_horizon_pop_in_order() {
-        // Events far past the wheel window must round-trip through the
-        // overflow list without disturbing the order.
-        let mut q = EventQueue::new();
-        let horizon_ns = (NBUCKETS as u64) << DEFAULT_SHIFT;
-        q.push(SimTime::from_nanos(3 * horizon_ns), 'c');
-        q.push(SimTime::from_nanos(10), 'a');
-        q.push(SimTime::from_nanos(2 * horizon_ns), 'b');
-        q.push(SimTime::from_nanos(5 * horizon_ns), 'd');
-        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!['a', 'b', 'c', 'd']);
+    /// The reference the heap is held to: a plain vector that pops its
+    /// minimum `(time, seq)` by linear scan.
+    #[derive(Default)]
+    struct ScanQueue {
+        items: Vec<(SimTime, u64, u64)>,
+        seq: u64,
+    }
+
+    impl ScanQueue {
+        fn push(&mut self, at: SimTime, event: u64) {
+            self.items.push((at, self.seq, event));
+            self.seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, u64, u64)> {
+            let i = (0..self.items.len()).min_by_key(|&i| (self.items[i].0, self.items[i].1))?;
+            Some(self.items.remove(i))
+        }
     }
 
     #[test]
     fn matches_reference_heap_under_interleaved_ops() {
         // The load-bearing equivalence test: under randomized interleaved
-        // push/pop the calendar queue's pop sequence must match the binary
-        // heap's exactly — same times, same FIFO tie-break. Times cluster
-        // near the frontier with occasional far outliers so buckets wrap
-        // and the overflow list migrates mid-run.
-        crate::check::check_cases("calendar_matches_heap", 60, |case, rng| {
-            let mut cal: EventQueue<u64> = EventQueue::new();
-            let mut heap: HeapQueue<u64> = HeapQueue::default();
+        // push/pop the queue's pop sequence, sequence numbers included,
+        // must match a linear scan for the minimum `(time, seq)` — same
+        // times, same FIFO tie-break. Times cluster near the frontier with
+        // occasional far outliers and same-instant bursts.
+        crate::check::check_cases("heap_matches_scan", 60, |case, rng| {
+            let mut q: EventQueue<u64> = EventQueue::new();
+            let mut reference = ScanQueue::default();
             let mut now = 0u64;
             let mut id = 0u64;
             for _ in 0..400 {
                 let pushes = rng.below(4);
                 for _ in 0..pushes {
-                    // Mostly near-future; ~1/8 far beyond the horizon.
+                    // Mostly near-future; ~1/8 far ahead.
                     let delta = if rng.below(8) == 0 {
                         rng.below(200_000_000)
                     } else {
@@ -470,34 +278,28 @@ mod tests {
                     let reps = 1 + rng.below(3);
                     for _ in 0..reps {
                         let at = SimTime::from_nanos(now + delta);
-                        cal.push(at, id);
-                        heap.push(at, id);
+                        q.push(at, id);
+                        reference.push(at, id);
                         id += 1;
                     }
                 }
                 if rng.below(3) > 0 {
-                    let got = cal.pop();
-                    let want = heap.pop();
+                    let got = q.pop_entry();
+                    let want = reference.pop();
                     assert_eq!(got, want, "case {case}: pop diverged");
-                    if let Some((t, _)) = got {
+                    if let Some((t, _, _)) = got {
                         now = t.as_nanos();
                     }
                 }
             }
             loop {
-                let got = cal.pop();
-                let want = heap.pop();
+                let got = q.pop_entry();
+                let want = reference.pop();
                 assert_eq!(got, want, "case {case}: drain diverged");
                 if got.is_none() {
                     break;
                 }
             }
         });
-    }
-
-    #[test]
-    fn with_horizon_covers_requested_span() {
-        let q: EventQueue<()> = EventQueue::with_horizon_ns(50_000_000);
-        assert!((NBUCKETS as u64) << q.shift >= 50_000_000);
     }
 }

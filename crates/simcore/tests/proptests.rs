@@ -60,14 +60,11 @@ fn event_queue_pop_times_are_monotone_under_interleaving() {
 
 #[test]
 fn event_queue_fifo_survives_bucket_wrap_and_far_migration() {
-    // The calendar queue buckets events by 2^16 ns slots on a 256-bucket
-    // wheel (~16.8 ms horizon) with an overflow list beyond it. Equal-time
-    // FIFO must hold even when the equal instants sit exactly on bucket
-    // edges, when the wheel wraps, and when events migrate from the
-    // overflow list mid-run — so times here are drawn from bucket-edge
-    // multiples (±1 ns) with strides that repeatedly cross the horizon.
-    // (If the internal geometry changes the test stays valid, just less
-    // pointed.)
+    // Equal-time FIFO must hold whatever the queue's internals. The times
+    // were chosen to stress a former timing wheel (2^16 ns buckets, 256 of
+    // them, an overflow list beyond): bucket-edge multiples (±1 ns) and
+    // strides that cross its horizon. For the heap they are a mix of near,
+    // far and same-instant pushes.
     const BUCKET_NS: u64 = 1 << 16;
     const HORIZON_NS: u64 = 256 * BUCKET_NS;
     check_cases("fifo across wrap and migration", 128, |_, rng| {

@@ -15,8 +15,8 @@
 //!    structs, and a conservative name-based call graph reachable from
 //!    the sim entry points (`ArraySim::run*`/`::new`,
 //!    `EventQueue::push`/`pop*`, `DriveQueue::pick*`);
-//! 3. the rules ([`rules`]) — seven line-pattern rules carried over
-//!    from the original scanner, plus three model-based shard-safety
+//! 3. the rules ([`rules`]) — eight line-pattern rules (seven carried
+//!    over from the original scanner), plus three model-based shard-safety
 //!    rules ([`Rule::SharedMutability`], [`Rule::FloatOrder`],
 //!    [`Rule::RngProvenance`]).
 //!
@@ -68,6 +68,10 @@ pub enum Rule {
     /// `SimRng` construction that does not flow from `SimRng::named`
     /// with a string-literal stream name.
     RngProvenance,
+    /// libm rounding (`rem_euclid`, `round`, `floor`, `ceil`, `trunc`) on
+    /// the per-request timing path, where the exact helpers in
+    /// `mimd_disk::mechanics` apply.
+    LibmRound,
 }
 
 impl Rule {
@@ -84,6 +88,7 @@ impl Rule {
             Rule::SharedMutability => "shared-mutability",
             Rule::FloatOrder => "float-order",
             Rule::RngProvenance => "rng-provenance",
+            Rule::LibmRound => "libm-round",
         }
     }
 
@@ -100,6 +105,7 @@ impl Rule {
             "shared-mutability" => Some(Rule::SharedMutability),
             "float-order" => Some(Rule::FloatOrder),
             "rng-provenance" => Some(Rule::RngProvenance),
+            "libm-round" => Some(Rule::LibmRound),
             _ => None,
         }
     }
@@ -198,6 +204,7 @@ pub struct Scope {
     pub(crate) shared_mutability: bool,
     pub(crate) float_order: bool,
     pub(crate) rng_provenance: bool,
+    pub(crate) libm_round: bool,
 }
 
 impl Scope {
@@ -213,6 +220,7 @@ impl Scope {
         shared_mutability: false,
         float_order: false,
         rng_provenance: false,
+        libm_round: false,
     };
 
     /// Derives the applicable rules from a workspace-relative path
@@ -253,6 +261,16 @@ impl Scope {
             // Workspace-wide: a SimRng exists only to feed sim code. The
             // constructor's own home and the analyzer are the exceptions.
             rng_provenance: any_src && rel != "crates/simcore/src/rng.rs" && !in_src_of("simlint"),
+            // The per-request timing path: angle quantisation, the cost
+            // kernels, the drive-queue pick and replica placement.
+            libm_round: [
+                "crates/diskmodel/src/geometry.rs",
+                "crates/diskmodel/src/mechanics.rs",
+                "crates/diskmodel/src/disk.rs",
+                "crates/core/src/dqueue.rs",
+                "crates/core/src/layout/mod.rs",
+            ]
+            .contains(&rel.as_str()),
         }
     }
 
@@ -492,6 +510,10 @@ mod tests {
         // The parity modules carry the same no-local-RNG obligation.
         assert!(Scope::for_path("crates/core/src/layout/parity.rs").fault_determinism);
         assert!(Scope::for_path("crates/core/src/engine/shard/parity.rs").fault_determinism);
+        assert!(Scope::for_path("crates/diskmodel/src/geometry.rs").libm_round);
+        assert!(Scope::for_path("crates/core/src/layout/mod.rs").libm_round);
+        assert!(!Scope::for_path("crates/diskmodel/src/calibration.rs").libm_round);
+        assert!(!Scope::for_path("crates/core/src/layout/parity.rs").libm_round);
     }
 
     #[test]

@@ -218,6 +218,15 @@ const FAULT_RNG: [(&str, &str); 2] = [
     ),
 ];
 
+/// Rounding methods that call libm on baseline x86-64.
+const LIBM_ROUNDING: [&str; 5] = [
+    ".rem_euclid(",
+    ".round()",
+    ".floor()",
+    ".ceil()",
+    ".trunc()",
+];
+
 /// Runs every in-scope line rule over a lexed file.
 pub fn check(rel: &str, scope: &Scope, lx: &Lexed, out: &mut Vec<Finding>) {
     for (idx, line) in lx.lines.iter().enumerate() {
@@ -287,6 +296,20 @@ pub fn check(rel: &str, scope: &Scope, lx: &Lexed, out: &mut Vec<Finding>) {
             for (needle, why) in FAULT_RNG {
                 if has_token(code, needle) {
                     push(Rule::FaultDeterminism, format!("`{needle}`: {why}"));
+                }
+            }
+        }
+        if scope.libm_round {
+            for needle in LIBM_ROUNDING {
+                if has_token(code, needle) {
+                    push(
+                        Rule::LibmRound,
+                        format!(
+                            "`{needle}` calls libm on the per-request path; use the exact \
+                             `mimd_disk::mechanics` helpers (`frac`, `round_u64`, \
+                             `ceil_u32`), or waive with a why"
+                        ),
+                    );
                 }
             }
         }

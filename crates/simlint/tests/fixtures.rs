@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 /// Every rule, by directory name. Compile-time exhaustiveness: adding a
 /// `Rule` variant without a fixture triple fails `all_rules_have_fixture_
 /// triples` below.
-const RULES: [&str; 10] = [
+const RULES: [&str; 11] = [
     "determinism",
     "collections",
     "time-units",
@@ -30,6 +30,7 @@ const RULES: [&str; 10] = [
     "shared-mutability",
     "float-order",
     "rng-provenance",
+    "libm-round",
 ];
 
 fn fixture_root() -> PathBuf {
