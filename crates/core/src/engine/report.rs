@@ -181,14 +181,17 @@ impl RunReport {
     }
 
     /// Folds one shard's dispatch-level accounting into the array-level
-    /// report: physical-operation counters, delayed-write counters, and
-    /// the per-operation timing/prediction statistics. Always applied in
-    /// shard order, so the floating-point folds are independent of how
-    /// shards were packed onto worker threads.
+    /// report: physical-operation counters, delayed-write counters and
+    /// NVRAM peaks, and the per-operation timing/prediction statistics.
+    /// Always applied in shard order, so the floating-point folds are
+    /// independent of how shards were packed onto worker threads.
     pub(crate) fn merge_dispatch(&mut self, other: &RunReport) {
         self.phys_requests += other.phys_requests;
         self.delayed_propagated += other.delayed_propagated;
         self.delayed_coalesced += other.delayed_coalesced;
+        // Each shard's peak of its own NVRAM budget; the sum bounds the
+        // table's simultaneous occupancy from above.
+        self.nvram_peak += other.nvram_peak;
         self.prediction.misses += other.prediction.misses;
         self.prediction.requests += other.prediction.requests;
         self.prediction.error.merge(&other.prediction.error);

@@ -5,11 +5,10 @@
 //! Group `g` of a `Ds × Dr × Dm` array owns exactly the `Dm` disks
 //! `[g·Dm, (g+1)·Dm)`, and every physical operation a fragment can ever
 //! cause — replica dispatch, mirror duplication, retry, redirect, delayed
-
 //! propagation, hot-spare rebuild traffic — stays on those disks (see
 //! [`crate::layout::Layout::group_of`]). A shard therefore carries its own
-//! disks, drive queues, event queue, fault context, and named RNG
-//! streams, and never touches another shard's state.
+//! disks, drive queues, event queue, NVRAM budget, fault context, and
+//! named RNG streams, and never touches another shard's state.
 //!
 //! Cross-shard traffic is carried as timestamped messages:
 //!
@@ -234,28 +233,17 @@ pub(crate) struct Submission {
     pub(crate) stripe: bool,
 }
 
-/// The NVRAM delayed-write table budget a shard runs against.
+/// One shard's share of the NVRAM delayed-write table (§3.4).
 ///
-/// In interleaved (serial) execution the conductor passes one shared
-/// counter with the configured threshold — the pre-shard semantics. In
-/// structured (parallelizable) execution each shard gets a private
-/// counter with `ceil(threshold / nshards)`, so the force-flush decision
-/// never reads another shard's state.
-#[derive(Debug, Clone, Copy)]
+/// Each shard owns `ceil(threshold / groups)` entries of the configured
+/// table and forces its delayed writes out once its own count reaches
+/// that. The flush decision never reads another shard's state, so both
+/// drive modes make it at the same events. The shard's peak occupancy
+/// lands in its report's `nvram_peak`.
+#[derive(Debug)]
 pub(crate) struct Nvram {
     pub(crate) count: usize,
-    pub(crate) threshold: usize,
-    pub(crate) peak: usize,
-}
-
-impl Nvram {
-    pub(crate) fn new(threshold: usize) -> Self {
-        Nvram {
-            count: 0,
-            threshold,
-            peak: 0,
-        }
-    }
+    threshold: usize,
 }
 
 /// Live fragment jobs of one shard, addressed by sequential local id.
@@ -317,6 +305,37 @@ impl JobRing {
 /// `(time_ns, seq, disk, kind)` exactly as folded into the witness.
 pub(crate) type PopRecord = (u64, u64, u32, u8);
 
+/// One event queue's pops: its witness sub-stream, the pop count (the
+/// engine-scaling throughput denominator), and a capture log for the
+/// equivalence property tests (off by default). The conductor and every
+/// shard each keep one.
+#[derive(Debug, Default)]
+pub(crate) struct Pops {
+    pub(crate) witness: DetWitness,
+    pub(crate) count: u64,
+    pub(crate) capture: bool,
+    pub(crate) log: Vec<PopRecord>,
+}
+
+impl Pops {
+    /// Folds one popped event into the witness (and the log when on).
+    pub(crate) fn fold(&mut self, now: SimTime, seq: u64, disk: u32, kind: u8) {
+        self.witness.fold(now.as_nanos(), seq, disk, kind);
+        self.count += 1;
+        if self.capture {
+            self.log.push((now.as_nanos(), seq, disk, kind));
+        }
+    }
+
+    /// Ends a run: returns its witness and pop count and starts afresh.
+    pub(crate) fn take_run(&mut self) -> (DetWitness, u64) {
+        let out = (self.witness, self.count);
+        self.witness = DetWitness::new();
+        self.count = 0;
+        out
+    }
+}
+
 /// One shard: a mirror group's disks and everything that schedules them.
 #[derive(Debug)]
 pub(crate) struct Shard {
@@ -363,13 +382,10 @@ pub(crate) struct Shard {
     pub(crate) report: RunReport,
     /// Outbound mailbox, drained by the conductor.
     pub(crate) notes: Vec<Note>,
+    /// This shard's delayed-write budget.
+    pub(crate) nvram: Nvram,
     /// This shard's witness sub-stream over its own event pops.
-    pub(crate) witness: DetWitness,
-    /// Event pops this run (the engine-scaling throughput denominator).
-    pub(crate) pops: u64,
-    /// Pop capture for the equivalence property tests (off by default).
-    pub(crate) capture: bool,
-    pub(crate) pop_log: Vec<PopRecord>,
+    pub(crate) pops: Pops,
     touched: Vec<usize>,
     task_pool: Vec<PendingTask>,
     write_scratch: Vec<Target>,
@@ -506,10 +522,11 @@ impl Shard {
             faults,
             report: RunReport::default(),
             notes: Vec::new(),
-            witness: DetWitness::new(),
-            pops: 0,
-            capture: false,
-            pop_log: Vec::new(),
+            nvram: Nvram {
+                count: 0,
+                threshold: cfg.nvram_threshold.div_ceil(lay.groups().max(1)).max(1),
+            },
+            pops: Pops::default(),
             touched: Vec::new(),
             task_pool: Vec::new(),
             write_scratch: Vec::new(),
@@ -552,24 +569,20 @@ impl Shard {
     }
 
     /// Pops and handles exactly one event. Returns `false` when idle.
-    pub(crate) fn step(&mut self, lay: &Layout, nv: &mut Nvram) -> bool {
+    pub(crate) fn step(&mut self, lay: &Layout) -> bool {
         let Some((now, seq, ev)) = self.events.pop_entry() else {
             return false;
         };
         let (wd, wk) = ev.witness_code();
-        self.witness.fold(now.as_nanos(), seq, wd, wk);
-        self.pops += 1;
-        if self.capture {
-            self.pop_log.push((now.as_nanos(), seq, wd, wk));
-        }
+        self.pops.fold(now, seq, wd, wk);
         match ev {
-            ColEvent::DiskDone(d) => self.on_disk_done(lay, now, d, nv),
-            ColEvent::DiskFail(d) => self.on_disk_fail(lay, now, d, nv),
+            ColEvent::DiskDone(d) => self.on_disk_done(lay, now, d),
+            ColEvent::DiskFail(d) => self.on_disk_fail(lay, now, d),
             ColEvent::SlowStart(d) => self.on_slow_edge(now, d, true),
             ColEvent::SlowEnd(d) => self.on_slow_edge(now, d, false),
-            ColEvent::Timeout { disk, id, track } => self.on_timeout(lay, now, disk, id, track, nv),
-            ColEvent::RebuildStart(d) => self.on_rebuild_start(lay, now, d, nv),
-            ColEvent::SpareDone(d) => self.on_spare_done(lay, now, d, nv),
+            ColEvent::Timeout { disk, id, track } => self.on_timeout(lay, now, disk, id, track),
+            ColEvent::RebuildStart(d) => self.on_rebuild_start(lay, now, d),
+            ColEvent::SpareDone(d) => self.on_spare_done(lay, now, d),
         }
         true
     }
@@ -578,7 +591,7 @@ impl Shard {
     /// list (structured mode). Submissions are injected ahead of local
     /// events at equal instants — the fixed merge rule that makes the
     /// interleaving independent of how shards are packed onto threads.
-    pub(crate) fn run(&mut self, lay: &Layout, subs: &[Submission], nv: &mut Nvram) {
+    pub(crate) fn run(&mut self, lay: &Layout, subs: &[Submission]) {
         let mut i = 0;
         loop {
             let next_sub = subs.get(i).map(|s| s.at);
@@ -595,41 +608,38 @@ impl Shard {
                 let st = subs[i].at;
                 let logical = subs[i].logical;
                 while i < subs.len() && subs[i].at == st && subs[i].logical == logical {
-                    let s = subs[i];
-                    self.submit_frag(lay, s.at, s.logical, s.frag, s.write, s.fg_write, s.stripe);
+                    self.submit_frag(lay, subs[i]);
                     i += 1;
                 }
-                self.kick(st, nv);
+                self.kick(st);
             } else {
-                self.step(lay, nv);
+                self.step(lay);
             }
         }
     }
 
     /// Drains every pending event (delayed propagation, in-flight rebuild
     /// chunks) to quiescence — the shard half of `drain_background`.
-    pub(crate) fn drain(&mut self, lay: &Layout, at: SimTime, nv: &mut Nvram) {
+    pub(crate) fn drain(&mut self, lay: &Layout, at: SimTime) {
         for l in 0..self.width {
-            self.try_dispatch(at, l, nv);
+            self.try_dispatch(at, l);
         }
-        while self.step(lay, nv) {}
+        while self.step(lay) {}
     }
 
     /// Plans one routed fragment into local tasks: one gating job with
     /// one part per replica-group task (foreground writes) or one part
     /// total (reads / background-mode first copies). A fragment with no
     /// surviving copy emits an immediate failed `Part` note.
-    #[allow(clippy::too_many_arguments)] // one flag per routed-submission attribute
-    pub(crate) fn submit_frag(
-        &mut self,
-        lay: &Layout,
-        now: SimTime,
-        logical: u64,
-        frag: Fragment,
-        write: bool,
-        fg_write: bool,
-        stripe: bool,
-    ) {
+    pub(crate) fn submit_frag(&mut self, lay: &Layout, sub: Submission) {
+        let Submission {
+            at: now,
+            logical,
+            frag,
+            write,
+            fg_write,
+            stripe,
+        } = sub;
         if lay.parity().is_some() {
             self.submit_parity_frag(lay, now, logical, frag, write, stripe);
             return;
@@ -671,7 +681,7 @@ impl Shard {
     }
 
     /// Dispatches the disks touched since the last kick.
-    pub(crate) fn kick(&mut self, now: SimTime, nv: &mut Nvram) {
+    pub(crate) fn kick(&mut self, now: SimTime) {
         if self.touched.is_empty() {
             return;
         }
@@ -679,7 +689,7 @@ impl Shard {
         touched.sort_unstable();
         touched.dedup();
         for &l in &touched {
-            self.try_dispatch(now, l, nv);
+            self.try_dispatch(now, l);
         }
         touched.clear();
         self.touched = touched;
@@ -878,14 +888,7 @@ impl Shard {
         }
     }
 
-    fn push_delayed(
-        &mut self,
-        disk: usize,
-        replica: &Replica,
-        frag: Fragment,
-        now: SimTime,
-        nv: &mut Nvram,
-    ) {
+    fn push_delayed(&mut self, disk: usize, replica: &Replica, frag: Fragment, now: SimTime) {
         if self.is_dead(disk) {
             return;
         }
@@ -928,11 +931,11 @@ impl Shard {
         if self.coalesce {
             self.delayed_keys[l].insert(key, id);
         }
-        nv.count += 1;
-        nv.peak = nv.peak.max(nv.count);
+        self.nvram.count += 1;
+        self.report.nvram_peak = self.report.nvram_peak.max(self.nvram.count);
     }
 
-    fn try_dispatch(&mut self, now: SimTime, l: usize, nv: &mut Nvram) {
+    fn try_dispatch(&mut self, now: SimTime, l: usize) {
         if self.inflight[l].is_some() {
             return;
         }
@@ -956,7 +959,7 @@ impl Shard {
 
         // Delayed writes run when the foreground queue is empty, or are
         // forced out when the NVRAM budget crosses its threshold (§3.4).
-        let force_delayed = nv.count >= nv.threshold;
+        let force_delayed = self.nvram.count >= self.nvram.threshold;
         let use_delayed = (self.fg[l].is_empty() || force_delayed) && !self.delayed[l].is_empty();
         let queue = if use_delayed {
             &mut self.delayed[l]
@@ -1047,16 +1050,16 @@ impl Shard {
         self.events.push(end, ColEvent::DiskDone(self.base + l));
     }
 
-    fn on_disk_done(&mut self, lay: &Layout, now: SimTime, disk: usize, nv: &mut Nvram) {
+    fn on_disk_done(&mut self, lay: &Layout, now: SimTime, disk: usize) {
         let l = disk - self.base;
         let Some(fly) = self.inflight[l].take() else {
             return;
         };
         if fly.task.kind == TaskKind::Rebuild {
             if lay.parity().is_some() {
-                self.on_parity_rebuild_read_done(lay, now, disk, fly.task, nv);
+                self.on_parity_rebuild_read_done(lay, now, disk, fly.task);
             } else {
-                self.on_rebuild_read_done(lay, now, disk, fly.task, nv);
+                self.on_rebuild_read_done(lay, now, disk, fly.task);
             }
             return;
         }
@@ -1071,19 +1074,19 @@ impl Shard {
                 };
                 if rate > 0.0 && ctx.rng.chance(rate) {
                     ctx.report.media_errors += 1;
-                    self.on_media_error(lay, now, disk, fly.task, nv);
+                    self.on_media_error(lay, now, disk, fly.task);
                     return;
                 }
             }
         }
         if matches!(fly.task.kind, TaskKind::ParityRead | TaskKind::ParityWrite) {
-            self.on_parity_done(now, disk, fly.task, nv);
+            self.on_parity_done(now, disk, fly.task);
             return;
         }
         match fly.task.kind {
             TaskKind::Rebuild | TaskKind::ParityRead | TaskKind::ParityWrite => {}
             TaskKind::Delayed => {
-                nv.count = nv.count.saturating_sub(1);
+                self.nvram.count = self.nvram.count.saturating_sub(1);
                 self.report.delayed_propagated += 1;
             }
             TaskKind::Read | TaskKind::WriteAll | TaskKind::WriteFirst => {
@@ -1098,7 +1101,7 @@ impl Shard {
                         if (r.replica, r.mirror) == written {
                             continue;
                         }
-                        self.push_delayed(r.disk, r, fly.task.frag, now, nv);
+                        self.push_delayed(r.disk, r, fly.task.frag, now);
                     }
                     reps.clear();
                     self.group_scratch = reps;
@@ -1107,20 +1110,12 @@ impl Shard {
             }
         }
         self.recycle(fly.task);
-        self.try_dispatch(now, l, nv);
+        self.try_dispatch(now, l);
     }
 
     /// A read's simulated-time timeout fired: pull and retry if it still
     /// sits in the foreground queue, else no-op.
-    fn on_timeout(
-        &mut self,
-        lay: &Layout,
-        now: SimTime,
-        disk: usize,
-        id: TaskId,
-        track: u64,
-        nv: &mut Nvram,
-    ) {
+    fn on_timeout(&mut self, lay: &Layout, now: SimTime, disk: usize, id: TaskId, track: u64) {
         if self.is_dead(disk) {
             return; // the queue died with the disk; rehoming handled it
         }
@@ -1137,7 +1132,7 @@ impl Shard {
         if let Some(ctx) = self.faults.as_mut() {
             ctx.report.timeouts += 1;
         }
-        self.retry_or_fail(lay, now, task, Some(disk), nv);
+        self.retry_or_fail(lay, now, task, Some(disk));
     }
 
     /// Re-issues a read that timed out or returned a media error, on an
@@ -1149,7 +1144,6 @@ impl Shard {
         now: SimTime,
         mut task: PendingTask,
         exclude: Option<usize>,
-        nv: &mut Nvram,
     ) {
         let budget = self
             .faults
@@ -1194,7 +1188,7 @@ impl Shard {
                 ctx.report.retries += 1;
             }
             self.enqueue(disk, task);
-            self.try_dispatch(now, disk - self.base, nv);
+            self.try_dispatch(now, disk - self.base);
         }
         groups.clear();
         self.group_scratch = groups;
@@ -1203,16 +1197,9 @@ impl Shard {
     /// Handles a transient media error on a completed foreground
     /// operation. Reads retry on an alternate replica; writes retry in
     /// place; an exhausted budget fails the logical request.
-    fn on_media_error(
-        &mut self,
-        lay: &Layout,
-        now: SimTime,
-        disk: usize,
-        mut task: PendingTask,
-        nv: &mut Nvram,
-    ) {
+    fn on_media_error(&mut self, lay: &Layout, now: SimTime, disk: usize, mut task: PendingTask) {
         match task.kind {
-            TaskKind::Read => self.retry_or_fail(lay, now, task, Some(disk), nv),
+            TaskKind::Read => self.retry_or_fail(lay, now, task, Some(disk)),
             TaskKind::WriteAll | TaskKind::WriteFirst => {
                 let budget = self
                     .faults
@@ -1239,7 +1226,7 @@ impl Shard {
             }
             TaskKind::Delayed | TaskKind::Rebuild => self.recycle(task),
         }
-        self.try_dispatch(now, disk - self.base, nv);
+        self.try_dispatch(now, disk - self.base);
     }
 
     /// Tracks a fail-slow window edge and reports the health transition.
@@ -1260,7 +1247,7 @@ impl Shard {
         });
     }
 
-    fn on_disk_fail(&mut self, lay: &Layout, now: SimTime, disk: usize, nv: &mut Nvram) {
+    fn on_disk_fail(&mut self, lay: &Layout, now: SimTime, disk: usize) {
         if self.is_dead(disk) {
             return;
         }
@@ -1284,7 +1271,7 @@ impl Shard {
             .count();
         self.delayed[l].clear();
         self.delayed_keys[l].clear();
-        nv.count = nv.count.saturating_sub(dropped);
+        self.nvram.count = self.nvram.count.saturating_sub(dropped);
         // Re-home the in-flight operation and the queue (in arrival
         // order, so surviving mirrors see the same relative order).
         let ids: Vec<TaskId> = self.fg[l].ids().to_vec();
@@ -1305,7 +1292,7 @@ impl Shard {
             }
             self.rehome_task(lay, task, now);
         }
-        self.kick(now, nv);
+        self.kick(now);
         // Hot spare: arm the rebuild state machine if the plan provides
         // one for this disk, or re-issue a chunk whose copy source died
         // mid-read.
@@ -1351,7 +1338,7 @@ impl Shard {
             });
         }
         if reissue {
-            self.rebuild_issue_chunk(lay, now, nv);
+            self.rebuild_issue_chunk(lay, now);
         }
     }
 
@@ -1398,7 +1385,7 @@ impl Shard {
     }
 
     /// The hot spare for a failed disk came online: start copying.
-    fn on_rebuild_start(&mut self, lay: &Layout, now: SimTime, disk: usize, nv: &mut Nvram) {
+    fn on_rebuild_start(&mut self, lay: &Layout, now: SimTime, disk: usize) {
         let ready = self
             .faults
             .as_mut()
@@ -1418,9 +1405,9 @@ impl Shard {
                 on: true,
             });
             if lay.parity().is_some() {
-                self.parity_rebuild_issue_chunk(lay, now, nv);
+                self.parity_rebuild_issue_chunk(lay, now);
             } else {
-                self.rebuild_issue_chunk(lay, now, nv);
+                self.rebuild_issue_chunk(lay, now);
             }
         }
     }
@@ -1428,7 +1415,7 @@ impl Shard {
     /// Queues the next rebuild chunk: one replica-track read on a
     /// surviving mirror, riding its *delayed* queue so foreground work
     /// keeps winning the disk.
-    fn rebuild_issue_chunk(&mut self, lay: &Layout, now: SimTime, nv: &mut Nvram) {
+    fn rebuild_issue_chunk(&mut self, lay: &Layout, now: SimTime) {
         let dm = self.width;
         let Some((spare, next, total, chunk)) = self.faults.as_ref().and_then(|ctx| {
             ctx.rebuild
@@ -1497,7 +1484,7 @@ impl Shard {
                 r.writing = false;
             }
         }
-        self.try_dispatch(now, source - self.base, nv);
+        self.try_dispatch(now, source - self.base);
     }
 
     /// A rebuild chunk read completed on the copy source: chain all `Dr`
@@ -1508,7 +1495,6 @@ impl Shard {
         now: SimTime,
         source: usize,
         task: PendingTask,
-        nv: &mut Nvram,
     ) {
         self.recycle(task);
         let dr = self.dr as u32;
@@ -1520,7 +1506,7 @@ impl Shard {
                 .map(|r| (r.disk, r.next, ctx.plan.rebuild.chunk_sectors))
         }) else {
             // The rebuild moved on (e.g. abandoned); drop the stale read.
-            self.try_dispatch(now, source - self.base, nv);
+            self.try_dispatch(now, source - self.base);
             return;
         };
         let spare_l = spare - self.base;
@@ -1557,12 +1543,12 @@ impl Shard {
         }
         self.report.phys_requests += 1;
         self.events.push(end, ColEvent::SpareDone(spare));
-        self.try_dispatch(now, source - self.base, nv);
+        self.try_dispatch(now, source - self.base);
     }
 
     /// The spare finished one chunk: advance the rebuild, and on the last
     /// chunk flip the disk back to live.
-    fn on_spare_done(&mut self, lay: &Layout, now: SimTime, disk: usize, nv: &mut Nvram) {
+    fn on_spare_done(&mut self, lay: &Layout, now: SimTime, disk: usize) {
         let parity = lay.parity().is_some();
         let mut finished = None;
         let mut chunk_done = false;
@@ -1612,13 +1598,13 @@ impl Shard {
                 });
                 #[cfg(debug_assertions)]
                 lay.check_rebuilt_disk(disk);
-                self.try_dispatch(now, disk - self.base, nv);
+                self.try_dispatch(now, disk - self.base);
             }
             None => {
                 if parity {
-                    self.parity_rebuild_issue_chunk(lay, now, nv);
+                    self.parity_rebuild_issue_chunk(lay, now);
                 } else {
-                    self.rebuild_issue_chunk(lay, now, nv);
+                    self.rebuild_issue_chunk(lay, now);
                 }
             }
         }

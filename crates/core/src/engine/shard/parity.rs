@@ -19,7 +19,7 @@ use mimd_sim::SimTime;
 
 use crate::layout::{Fragment, Layout};
 
-use super::{ColEvent, HealthKind, Note, Nvram, PendingTask, Shard, TaskKind};
+use super::{ColEvent, HealthKind, Note, PendingTask, Shard, TaskKind};
 
 /// One in-flight parity operation: the fan-out bookkeeping for a single
 /// routed fragment.
@@ -226,13 +226,7 @@ impl Shard {
     /// One leg of a parity operation completed on `disk`: count it down,
     /// and on the last leg either finish the job or flip an RMW into its
     /// write phase.
-    pub(super) fn on_parity_done(
-        &mut self,
-        now: SimTime,
-        disk: usize,
-        task: PendingTask,
-        nv: &mut Nvram,
-    ) {
+    pub(super) fn on_parity_done(&mut self, now: SimTime, disk: usize, task: PendingTask) {
         let l = disk - self.base;
         let op_id = task.job;
         self.recycle(task);
@@ -286,8 +280,8 @@ impl Shard {
                 }
             }
         }
-        self.kick(now, nv);
-        self.try_dispatch(now, l, nv);
+        self.kick(now);
+        self.try_dispatch(now, l);
     }
 
     /// A transient media error on a parity leg: retry in place — a parity
@@ -333,12 +327,7 @@ impl Shard {
     /// Queues the next parity-rebuild chunk: one chunk read on *every*
     /// survivor of the spare's group (their XOR is the lost content),
     /// riding the delayed queues so foreground work keeps winning.
-    pub(super) fn parity_rebuild_issue_chunk(
-        &mut self,
-        lay: &Layout,
-        now: SimTime,
-        nv: &mut Nvram,
-    ) {
+    pub(super) fn parity_rebuild_issue_chunk(&mut self, lay: &Layout, now: SimTime) {
         let Some((spare, next, total, chunk)) = self.faults.as_ref().and_then(|ctx| {
             ctx.rebuild
                 .as_ref()
@@ -405,7 +394,7 @@ impl Shard {
             }
         }
         for &src in &survivors {
-            self.try_dispatch(now, src - self.base, nv);
+            self.try_dispatch(now, src - self.base);
         }
     }
 
@@ -417,7 +406,6 @@ impl Shard {
         now: SimTime,
         source: usize,
         task: PendingTask,
-        nv: &mut Nvram,
     ) {
         self.recycle(task);
         let state = self
@@ -432,7 +420,7 @@ impl Shard {
         let Some((spare, next, left)) = state else {
             // The rebuild moved on (e.g. was abandoned); drop the stale
             // read and let the source disk continue.
-            self.try_dispatch(now, source - self.base, nv);
+            self.try_dispatch(now, source - self.base);
             return;
         };
         if left == 0 {
@@ -453,6 +441,6 @@ impl Shard {
                     .push(now + b.total(), ColEvent::SpareDone(spare));
             }
         }
-        self.try_dispatch(now, source - self.base, nv);
+        self.try_dispatch(now, source - self.base);
     }
 }
