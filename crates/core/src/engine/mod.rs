@@ -1048,7 +1048,10 @@ impl ArraySim {
                 set.push(ms);
             }
         }
-        if l.op == Op::Read {
+        // A failed read brought no data back, so it leaves nothing
+        // resident: caching it would let the next read of lost data
+        // "succeed" from memory.
+        if l.op == Op::Read && !l.failed {
             if let Some(c) = self.cache.as_mut() {
                 c.insert_range(l.lbn, l.sectors);
             }

@@ -14,9 +14,9 @@
 //! rebuilt layout), media-error retries recover reads, and redirection
 //! steers reads off fail-slow disks.
 
-use mimd_core::{ArraySim, EngineConfig, FaultPlan, RunReport, Shape};
+use mimd_core::{ArraySim, CacheConfig, EngineConfig, FaultPlan, RunReport, Shape};
 use mimd_sim::{SimDuration, SimTime};
-use mimd_workload::{SyntheticSpec, Trace};
+use mimd_workload::{Op, Request, SyntheticSpec, Trace};
 
 fn trace() -> Trace {
     SyntheticSpec::cello_base().generate(77, 1_500)
@@ -200,4 +200,29 @@ fn timeouts_fire_and_back_off_on_a_dead_mirror_half() {
         !r.faults.degraded_ms.is_empty(),
         "post-failure completions are degraded"
     );
+}
+
+#[test]
+fn a_failed_read_does_not_fill_the_memory_cache() {
+    // Striping keeps one copy of each block, so once disk 0 stops, a read
+    // of lbn 0 fails. Reading it again must fail again, not hit in memory.
+    let read = |s| Request {
+        id: 0,
+        arrival: SimTime::from_secs(s),
+        op: Op::Read,
+        lbn: 0,
+        sectors: 8,
+    };
+    let t = Trace::new("lost block", 1_000_000, vec![read(2), read(3)]);
+    let cfg = EngineConfig::new(Shape::striping(2))
+        .with_cache(CacheConfig {
+            bytes: 1 << 20,
+            hit_time: SimDuration::from_micros(100),
+        })
+        .with_faults(FaultPlan::new().fail_stop(0, SimTime::from_secs(1)));
+    let r = run(cfg, &t);
+    assert_eq!(r.completed, 2);
+    assert_eq!(r.failed_requests, 2, "both reads of the lost block fail");
+    assert_eq!(r.cache_hits, 0, "a failed read made its block resident");
+    assert_eq!(r.cache_misses, 2);
 }
