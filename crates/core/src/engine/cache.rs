@@ -10,9 +10,11 @@
 //! nodes, least recent at the head. A touched range moves (or appends) its
 //! blocks to the tail in ascending block order, so the list is always
 //! sorted by (last touch, block id): the victim order of a stamp-per-touch
-//! LRU whose ties go to the lower block, with O(1) eviction.
+//! LRU whose ties go to the lower block, with O(1) eviction. A flat
+//! point-lookup index ([`FlatMap`]) finds a block's node; nothing ever
+//! iterates it, so the order of the simulated contents is the list's alone.
 
-use std::collections::BTreeMap;
+use super::flat::FlatMap;
 
 /// Sectors per cache block (4 KiB).
 pub const CACHE_BLOCK_SECTORS: u64 = 8;
@@ -47,9 +49,9 @@ struct Node {
 #[derive(Debug)]
 pub struct LruCache {
     capacity_blocks: usize,
-    /// Block id -> slab slot. Ordered map so the structure, like the
-    /// simulated cache contents, is reproducible across runs.
-    slots: BTreeMap<u64, u32>,
+    /// Block id -> slab slot. Only probed, never iterated: recency and
+    /// eviction order come from the list, not from this index.
+    slots: FlatMap<u32>,
     nodes: Vec<Node>,
     /// Head of the free-slot chain (linked through `next`).
     free: u32,
@@ -73,7 +75,7 @@ impl LruCache {
         };
         LruCache {
             capacity_blocks,
-            slots: BTreeMap::new(),
+            slots: FlatMap::new(),
             nodes: Vec::with_capacity(slab),
             free: NIL,
             head: NIL,
@@ -119,7 +121,7 @@ impl LruCache {
         if sectors == 0 || self.capacity_blocks == 0 {
             return false;
         }
-        Self::blocks(lbn, sectors).all(|b| self.slots.contains_key(&b))
+        Self::blocks(lbn, sectors).all(|b| self.slots.contains_key(b))
     }
 
     /// Checks residency, counts the hit/miss, and makes the range most
@@ -128,10 +130,12 @@ impl LruCache {
         let hit = self.contains_range(lbn, sectors);
         if hit {
             self.hits += 1;
+            // Every block of a hit is resident, so each `get` finds it.
             for b in Self::blocks(lbn, sectors) {
-                let slot = self.slots[&b];
-                self.unlink(slot);
-                self.push_tail(slot);
+                if let Some(slot) = self.slots.get(b) {
+                    self.unlink(slot);
+                    self.push_tail(slot);
+                }
             }
         } else {
             self.misses += 1;
@@ -150,8 +154,8 @@ impl LruCache {
             return;
         }
         for b in Self::blocks(lbn, sectors) {
-            let slot = match self.slots.get(&b) {
-                Some(&slot) => {
+            let slot = match self.slots.get(b) {
+                Some(slot) => {
                     self.unlink(slot);
                     slot
                 }
@@ -167,7 +171,7 @@ impl LruCache {
             let victim = self.head;
             let block = self.nodes[victim as usize].block;
             self.unlink(victim);
-            self.slots.remove(&block);
+            self.slots.remove(block);
             self.nodes[victim as usize].next = self.free;
             self.free = victim;
             on_evict(block);
@@ -224,6 +228,7 @@ mod tests {
     use super::*;
     use mimd_sim::check::check_cases;
     use mimd_sim::SimRng;
+    use std::collections::BTreeMap;
 
     #[test]
     fn zero_capacity_never_hits() {
@@ -288,11 +293,20 @@ mod tests {
     fn slab_does_not_grow_at_capacity() {
         let mut c = LruCache::new(64 * 4096);
         let reserved = c.nodes.capacity();
-        for i in 0..10_000u64 {
-            c.insert_range(i * 13 % 4_096, 1 + (i % 200) as u32);
+        let touch = |c: &mut LruCache, i: u64| c.insert_range(i * 13 % 4_096, 1 + (i % 200) as u32);
+        for i in 0..1_000u64 {
+            touch(&mut c, i);
+        }
+        // Full: from here on the index holds at most capacity + one range
+        // of blocks, so its table has stopped growing too.
+        assert_eq!(c.len(), 64);
+        let index_slots = c.slots.slot_count();
+        for i in 1_000..10_000u64 {
+            touch(&mut c, i);
         }
         assert_eq!(c.len(), 64);
         assert_eq!(c.nodes.capacity(), reserved);
+        assert_eq!(c.slots.slot_count(), index_slots);
     }
 
     /// The stamp-per-touch LRU with linear-scan eviction that the slab list

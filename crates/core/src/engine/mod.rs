@@ -53,6 +53,7 @@
 //! `run_closed_loop` (Iometer-style) both consume the instance's state.
 
 pub mod cache;
+mod flat;
 mod heads;
 pub mod report;
 mod shard;

@@ -34,9 +34,10 @@ use mimd_disk::{SimDisk, Target};
 use mimd_sim::{DetWitness, EventQueue, SimDuration, SimRng, SimTime};
 use parity::ParityOp;
 
+use super::flat::FlatMap;
 use crate::dqueue::{DriveQueue, TaskId};
 use crate::faults::{FaultCtx, RebuildState};
-use crate::layout::{Fragment, Layout, Replica};
+use crate::layout::{Fragment, Layout, Replica, LBN_LIMIT};
 use crate::sched::{LookState, Policy, Schedulable};
 
 use super::report::RunReport;
@@ -78,8 +79,6 @@ pub(crate) struct PendingTask {
     pub(crate) meta: Vec<(u8, u8)>,
     pub(crate) enqueued: SimTime,
     pub(crate) dup: Option<u64>,
-    /// Coalescing key for delayed entries.
-    pub(crate) key: (u64, u8, u8),
     /// Retry attempts consumed so far (fault layer).
     pub(crate) attempt: u8,
     /// Timeout-tracking stamp; `0` means no timeout is armed on this task.
@@ -98,7 +97,6 @@ impl PendingTask {
             meta: Vec::new(),
             enqueued: SimTime::ZERO,
             dup: None,
-            key: (0, 0, 0),
             attempt: 0,
             track: 0,
         }
@@ -115,6 +113,16 @@ impl Schedulable for PendingTask {
     fn enqueued(&self) -> SimTime {
         self.enqueued
     }
+}
+
+/// The delayed-write coalesce key of one replica of the block at `lbn`:
+/// the lbn in the high 48 bits, then the replica and mirror indexes. It
+/// is injective because [`Layout::new`] places no lbn at or above
+/// [`LBN_LIMIT`], which also keeps every key below `u64::MAX`, the index's
+/// free-slot marker.
+fn coalesce_key(lbn: u64, (replica, mirror): (u8, u8)) -> u64 {
+    debug_assert!(lbn < LBN_LIMIT);
+    (lbn << 16) | (replica as u64) << 8 | mirror as u64
 }
 
 /// Started mirror-duplicate generations, as a growable bitset.
@@ -358,8 +366,8 @@ pub(crate) struct Shard {
     delayed: Vec<DriveQueue<PendingTask>>,
     /// Mirror-duplicate tags per disk: (duplicate generation, queued id).
     dup_tags: Vec<Vec<(u64, TaskId)>>,
-    /// Delayed-write coalesce index per disk: replica key → queued id.
-    delayed_keys: Vec<BTreeMap<(u64, u8, u8), TaskId>>,
+    /// Delayed-write coalesce index per disk: [`coalesce_key`] → queued id.
+    delayed_keys: Vec<FlatMap<TaskId>>,
     look: Vec<LookState>,
     inflight: Vec<Option<InFlight>>,
     /// Per owned disk, indexed by `disk - base`; read through
@@ -508,7 +516,7 @@ impl Shard {
             fg: (0..width).map(|_| DriveQueue::new(policy)).collect(),
             delayed: (0..width).map(|_| DriveQueue::new(policy)).collect(),
             dup_tags: vec![Vec::new(); width],
-            delayed_keys: vec![BTreeMap::new(); width],
+            delayed_keys: (0..width).map(|_| FlatMap::new()).collect(),
             look: vec![LookState::default(); width],
             inflight: (0..width).map(|_| None).collect(),
             dead: vec![false; width],
@@ -717,7 +725,6 @@ impl Shard {
             .extend(replicas.iter().map(|r| (r.replica, r.mirror)));
         t.enqueued = now;
         t.dup = None;
-        t.key = (frag.lbn, 0, 0);
         t.attempt = 0;
         t.track = 0;
         t
@@ -893,13 +900,13 @@ impl Shard {
             return;
         }
         let l = disk - self.base;
-        let key = (frag.lbn, replica.replica, replica.mirror);
+        let meta = (replica.replica, replica.mirror);
+        let key = coalesce_key(frag.lbn, meta);
         if self.coalesce {
-            if let Some(&id) = self.delayed_keys[l].get(&key) {
+            if let Some(id) = self.delayed_keys[l].get(key) {
                 // A newer write to the same block supersedes the pending
                 // propagation (§3.4 "data that die young").
                 let target = replica.target;
-                let meta = (replica.replica, replica.mirror);
                 let live = self.delayed[l].replace_with(&self.disks[l], id, |t| {
                     t.targets.clear();
                     t.targets.push(target);
@@ -921,10 +928,9 @@ impl Shard {
         t.targets.clear();
         t.targets.push(replica.target);
         t.meta.clear();
-        t.meta.push((replica.replica, replica.mirror));
+        t.meta.push(meta);
         t.enqueued = now;
         t.dup = None;
-        t.key = key;
         t.attempt = 0;
         t.track = 0;
         let id = self.delayed[l].insert(&self.disks[l], t);
@@ -984,7 +990,7 @@ impl Shard {
             return; // Unreachable: the pick came from this queue.
         };
         if task.kind == TaskKind::Delayed {
-            self.delayed_keys[l].remove(&task.key);
+            self.delayed_keys[l].remove(coalesce_key(task.frag.lbn, task.meta[0]));
         }
         if let Some(g) = task.dup {
             self.dup_started.insert(g);
@@ -1472,7 +1478,6 @@ impl Shard {
         t.meta.push((0, src_mirror as u8));
         t.enqueued = now;
         t.dup = None;
-        t.key = (u64::MAX, 0, 0);
         t.attempt = 0;
         t.track = 0;
         let src_l = source - self.base;

@@ -216,7 +216,6 @@ impl Shard {
         t.meta.push((0, (disk - self.base) as u8));
         t.enqueued = now;
         t.dup = None;
-        t.key = (frag.lbn, 0, 0);
         t.attempt = 0;
         t.track = 0;
         self.enqueue(disk, t);
@@ -379,7 +378,6 @@ impl Shard {
             t.meta.push((0, 0));
             t.enqueued = now;
             t.dup = None;
-            t.key = (u64::MAX, 0, 0);
             t.attempt = 0;
             t.track = 0;
             let src_l = src - self.base;

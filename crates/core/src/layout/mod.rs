@@ -22,6 +22,11 @@ use crate::config::Shape;
 /// Default striping unit: 64 KiB of 512-byte sectors (§3.1).
 pub const DEFAULT_STRIPE_UNIT: u32 = 128;
 
+/// Every logical block a layout places lies below this bound, which
+/// [`Layout::new`] checks. It lets the engine pack an lbn into the high 48
+/// bits of a `u64` index key without two blocks sharing a key.
+pub const LBN_LIMIT: u64 = (1 << 48) - 1;
+
 /// How rotational replicas are placed around the track (§2.2).
 ///
 /// Evenly spaced replicas give an expected read rotational delay of
@@ -67,6 +72,11 @@ pub enum LayoutError {
     InvalidParity(String),
     /// A fault plan inconsistent with the array it targets.
     InvalidFaultPlan(String),
+    /// The array's logical address space reaches [`LBN_LIMIT`].
+    AddressSpaceExceeded {
+        /// Logical sectors the array could place.
+        sectors: u64,
+    },
 }
 
 impl std::fmt::Display for LayoutError {
@@ -87,6 +97,10 @@ impl std::fmt::Display for LayoutError {
             }
             LayoutError::InvalidParity(why) => write!(f, "invalid parity organization: {why}"),
             LayoutError::InvalidFaultPlan(why) => write!(f, "invalid fault plan: {why}"),
+            LayoutError::AddressSpaceExceeded { sectors } => write!(
+                f,
+                "logical address space of {sectors} sectors reaches the limit {LBN_LIMIT}"
+            ),
         }
     }
 }
@@ -176,6 +190,14 @@ impl Layout {
                 needed,
                 available: layout.mapper.capacity(),
             });
+        }
+        // A placed lbn's unit has a local index below the per-disk
+        // capacity in whole units, in one of the `Ds × Dr` grid cells.
+        let u = stripe_unit as u64;
+        let sectors = (layout.mapper.capacity().div_ceil(u) * u)
+            .saturating_mul(shape.ds as u64 * shape.dr as u64);
+        if sectors > LBN_LIMIT {
+            return Err(LayoutError::AddressSpaceExceeded { sectors });
         }
         Ok(layout)
     }
@@ -614,6 +636,26 @@ mod tests {
             Layout::new(Shape::striping(2), &g, 0, 128, false).unwrap_err(),
             LayoutError::Degenerate
         ));
+    }
+
+    #[test]
+    fn placed_lbns_stay_below_the_limit() {
+        let g = geom();
+        // 2^22 disks of ~17.9 M sectors address ~2^46 sectors; 2^24 disks
+        // would reach past 2^48, where packed index keys could alias.
+        assert!(Layout::new(Shape::striping(1 << 22), &g, 1_000, 128, false).is_ok());
+        let err = Layout::new(Shape::striping(1 << 24), &g, 1_000, 128, false).unwrap_err();
+        assert!(
+            matches!(err, LayoutError::AddressSpaceExceeded { sectors } if sectors > LBN_LIMIT)
+        );
+        // The span the check bounds is tight: the last unit of the last
+        // grid cell has a placement, the unit after it has none.
+        let l = layout(Shape::sr_array(2, 3).unwrap());
+        let u = DEFAULT_STRIPE_UNIT as u64;
+        let span = l.mapper.capacity().div_ceil(u) * u * 6;
+        let placed = |lbn| !l.read_candidates(Fragment { lbn, sectors: 1 }).is_empty();
+        assert!(placed(span - u));
+        assert!(!placed(span));
     }
 
     #[test]
