@@ -252,8 +252,9 @@ pub fn check(rel: &str, scope: &Scope, lx: &Lexed, out: &mut Vec<Finding>) {
                     push(
                         Rule::Collections,
                         format!(
-                            "`{ty}` has per-process iteration order; use `BTree{}` for \
-                             reproducible runs",
+                            "`{ty}` has per-process iteration order; for point lookups on \
+                             `u64` keys use the fixed-hash `engine::flat::FlatMap` (no \
+                             iteration), for ordered iteration `BTree{}`",
                             &ty[4..]
                         ),
                     );
