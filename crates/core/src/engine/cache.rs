@@ -4,15 +4,21 @@
 //! An LRU cache over 4 KiB blocks sits in front of the array. Reads whose
 //! blocks are all resident complete at memory speed; synchronous writes are
 //! "forced to disks in both alternatives" but leave their blocks resident,
-//! so the read-after-write traffic of Table 3 becomes cache hits.
+//! so the read-after-write traffic of Table 3 becomes cache hits. A read
+//! that reached the disks makes its blocks resident when it completes,
+//! unless it failed.
 //!
 //! Recency is an intrusive doubly linked list threaded through a slab of
 //! nodes, least recent at the head. A touched range moves (or appends) its
 //! blocks to the tail in ascending block order, so the list is always
 //! sorted by (last touch, block id): the victim order of a stamp-per-touch
-//! LRU whose ties go to the lower block, with O(1) eviction. A flat
-//! point-lookup index ([`FlatMap`]) finds a block's node; nothing ever
-//! iterates it, so the order of the simulated contents is the list's alone.
+//! LRU whose ties go to the lower block, with O(1) eviction.
+//!
+//! A block finds its node through the engine's flat fixed-hash index
+//! (`engine::flat::FlatMap`), one probe per block instead of a B-tree
+//! descent. The index is only ever asked for one key's slot and cannot be
+//! iterated, so hits, victims and recency depend on the list alone and
+//! are the same in every run.
 
 use super::flat::FlatMap;
 
@@ -49,8 +55,8 @@ struct Node {
 #[derive(Debug)]
 pub struct LruCache {
     capacity_blocks: usize,
-    /// Block id -> slab slot. Only probed, never iterated: recency and
-    /// eviction order come from the list, not from this index.
+    /// Block id -> slab slot of every resident block. Only probed, never
+    /// iterated: recency and eviction order come from the list.
     slots: FlatMap<u32>,
     nodes: Vec<Node>,
     /// Head of the free-slot chain (linked through `next`).

@@ -72,7 +72,7 @@ pub enum LayoutError {
     InvalidParity(String),
     /// A fault plan inconsistent with the array it targets.
     InvalidFaultPlan(String),
-    /// The array's logical address space reaches [`LBN_LIMIT`].
+    /// The array's logical address space exceeds [`LBN_LIMIT`].
     AddressSpaceExceeded {
         /// Logical sectors the array could place.
         sectors: u64,
@@ -99,7 +99,7 @@ impl std::fmt::Display for LayoutError {
             LayoutError::InvalidFaultPlan(why) => write!(f, "invalid fault plan: {why}"),
             LayoutError::AddressSpaceExceeded { sectors } => write!(
                 f,
-                "logical address space of {sectors} sectors reaches the limit {LBN_LIMIT}"
+                "logical address space of {sectors} sectors exceeds the limit {LBN_LIMIT}"
             ),
         }
     }
