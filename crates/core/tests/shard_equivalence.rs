@@ -118,6 +118,15 @@ fn raid5_pop_stream_equals_serial() {
     assert_equivalent(&cfg, &trace, "raid5 healthy");
 }
 
+#[test]
+fn wide_stripe_pop_stream_equals_serial() {
+    // 256 single-disk shards: far more shards than workers, so each
+    // worker owns many shards and the conductor's merge spans the lot.
+    let trace = SyntheticSpec::cello_base().generate(1234, 3_000);
+    let cfg = EngineConfig::new(Shape::striping(256));
+    assert_equivalent(&cfg, &trace, "256-disk stripe");
+}
+
 /// What pins an interleaved run: the witness, the number of pops, an
 /// FNV-1a digest over every captured `(time, entity, seq, disk, kind)`,
 /// and one over the report's `Debug` rendering, whose samples are listed in
