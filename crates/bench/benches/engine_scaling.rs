@@ -1,127 +1,71 @@
 //! Whole-engine scaling: events/second of one large simulation as the
-//! shard worker count grows.
+//! shard worker count grows. Print-only; run it by hand with
+//! `cargo bench -p mimd-bench --bench engine_scaling`.
 //!
-//! One 256-disk striped array replays one open-loop trace — structured
-//! mode, so the engine fans its 256 single-disk shards across
-//! `ArraySim::set_parallelism(N)` worker threads — at N ∈ {1, 2, 4, 8}
-//! (quick mode: {1, 2}). Two records per worker count:
-//!
-//! - `engine_scaling/256disk/shards=N` — nanoseconds per *event pop*
-//!   across all shards and the conductor (`last_run_events`), the
-//!   engine-scaling figure of merit;
-//! - `engine_scaling/256disk/per_request/shards=N` — nanoseconds per
-//!   completed logical request, comparable against pre-shard builds that
-//!   cannot count pops.
+//! One 256-disk striped array replays one 60 000-request open-loop Cello
+//! base trace — structured mode, so the engine fans its 256 single-disk
+//! shards across `ArraySim::set_parallelism(N)` worker threads — at
+//! N ∈ {1, 2, 4, 8}. Each line gives the best of three passes as
+//! nanoseconds per event pop (`last_run_events`) and the speedup over one
+//! worker. Rows with more workers than cores time the host's
+//! oversubscription, not the engine, and are marked so.
 //!
 //! The bench also asserts the determinism contract it rides on: the
 //! witness must be byte-identical at every worker count.
-//!
-//! Environment knobs match `hot_paths`: `MIMD_BENCH_QUICK=1` shrinks the
-//! workload, `MIMD_BENCH_JSON=<stem>` writes the JSON records.
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use mimd_core::{ArraySim, EngineConfig, Shape};
-use mimd_harness::Json;
 use mimd_workload::SyntheticSpec;
 
-fn quick() -> bool {
-    std::env::var("MIMD_BENCH_QUICK").is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-}
+const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const REQUESTS: usize = 60_000;
+const PASSES: usize = 3;
 
 fn main() {
-    let (worker_counts, n_requests, passes): (&[usize], usize, usize) = if quick() {
-        (&[1, 2], 10_000, 2)
-    } else {
-        (&[1, 2, 4, 8], 60_000, 3)
-    };
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let trace = SyntheticSpec::cello_base().generate(1234, n_requests);
+    let trace = SyntheticSpec::cello_base().generate(1234, REQUESTS);
     let cfg = EngineConfig::new(Shape::striping(256));
 
-    let mut records: Vec<Json> = Vec::new();
-    let mut serial_events_per_sec = 0.0;
+    let mut serial_ns_per_event = 0.0;
     let mut witness_at_1: Option<u64> = None;
-    println!("engine_scaling: 256-disk array, {n_requests} requests, {cores} core(s) available");
-    for &workers in worker_counts {
-        // With fewer cores than workers the wall clock measures the host's
-        // oversubscription, not the engine: run the passes for the witness
-        // assertion but keep the timings out of the JSON so the ±25%
-        // regression gate never sees them (missing names are reported, not
-        // failed). Witness identity is asserted unconditionally.
-        let timed = workers <= cores;
+    println!("engine_scaling: 256-disk array, {REQUESTS} requests, {cores} core(s) available");
+    for workers in WORKER_COUNTS {
         let mut best_wall_ns = f64::INFINITY;
         let mut events = 0u64;
-        let mut completed = 0u64;
-        for _ in 0..passes {
+        for _ in 0..PASSES {
             let mut sim = ArraySim::new(cfg.clone(), trace.data_sectors)
                 .expect("256-disk stripe fits the cello data set");
             sim.set_parallelism(workers);
             let start = Instant::now();
             let report = black_box(sim.run_trace(&trace));
-            let wall = start.elapsed().as_nanos() as f64;
+            best_wall_ns = best_wall_ns.min(start.elapsed().as_nanos() as f64);
             events = sim.last_run_events();
-            completed = report.completed;
+            assert!(events > 0 && report.completed > 0);
             // The contract this bench scales on: worker count never
             // changes a single popped event.
             match witness_at_1 {
                 None => witness_at_1 = Some(report.witness),
                 Some(w) => assert_eq!(w, report.witness, "witness diverged at {workers} workers"),
             }
-            if wall < best_wall_ns {
-                best_wall_ns = wall;
-            }
-        }
-        assert!(events > 0 && completed > 0);
-        if !timed {
-            println!(
-                "shards={workers:<2} untimed ({cores} core(s) < {workers} workers); \
-                 witness identity asserted"
-            );
-            continue;
         }
         let ns_per_event = best_wall_ns / events as f64;
-        let ns_per_request = best_wall_ns / completed as f64;
-        let events_per_sec = 1e9 / ns_per_event;
         if workers == 1 {
-            serial_events_per_sec = events_per_sec;
+            serial_ns_per_event = ns_per_event;
         }
-        let speedup = events_per_sec / serial_events_per_sec;
+        let speedup = serial_ns_per_event / ns_per_event;
+        let note = if workers > cores {
+            "  (oversubscribed)"
+        } else {
+            ""
+        };
         println!(
-            "shards={workers:<2} {ns_per_event:>10.1} ns/event {events_per_sec:>12.0} events/s  \
-             speedup {speedup:>5.2}x"
+            "shards={workers:<2} {ns_per_event:>10.1} ns/event {:>12.0} events/s  \
+             speedup {speedup:>5.2}x{note}",
+            1e9 / ns_per_event
         );
-        records.push(Json::object([
-            (
-                "name",
-                Json::from(format!("engine_scaling/256disk/shards={workers}").as_str()),
-            ),
-            ("ns_per_iter", Json::from(ns_per_event)),
-        ]));
-        records.push(Json::object([
-            (
-                "name",
-                Json::from(format!("engine_scaling/256disk/per_request/shards={workers}").as_str()),
-            ),
-            ("ns_per_iter", Json::from(ns_per_request)),
-        ]));
-    }
-
-    if let Ok(stem) = std::env::var("MIMD_BENCH_JSON") {
-        if !stem.is_empty() {
-            let doc = Json::object([
-                ("suite", Json::from("engine_scaling")),
-                ("quick", Json::from(quick())),
-                ("cores", Json::from(cores as f64)),
-                ("benches", Json::Arr(records)),
-            ]);
-            match mimd_harness::write_json(&stem, &doc) {
-                Ok(path) => println!("wrote {}", path.display()),
-                Err(e) => eprintln!("failed to write bench JSON: {e}"),
-            }
-        }
     }
 }

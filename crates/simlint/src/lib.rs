@@ -501,7 +501,7 @@ mod tests {
         assert!(pool.cache_hygiene && !pool.is_exempt());
         assert!(!(pool.parallelism || pool.determinism || pool.time_units));
         assert!(Scope::for_path("crates/harness/tests/cache_properties.rs").is_exempt());
-        assert!(Scope::for_path("crates/bench/benches/hot_paths.rs").is_exempt());
+        assert!(Scope::for_path("crates/bench/benches/engine_scaling.rs").is_exempt());
         assert!(!Scope::for_path("crates/core/src/engine/mod.rs").cache_hygiene);
         let faults = Scope::for_path("crates/core/src/faults.rs");
         assert!(faults.fault_determinism && faults.determinism && faults.collections);
