@@ -17,14 +17,10 @@
 //!
 //! `MIMD_BENCH_QUICK=1` shrinks both parts for CI smoke runs.
 
-use mimd_bench::{ms, print_table, run_jobs, shared_trace, ExperimentLog, Job, Json};
+use mimd_bench::{ms, print_table, quick, run_jobs, shared_trace, ExperimentLog, Job, Json};
 use mimd_core::{EngineConfig, FaultPlan, RunReport, Shape};
 use mimd_sim::{SimDuration, SimTime};
 use mimd_workload::SyntheticSpec;
-
-fn quick() -> bool {
-    std::env::var("MIMD_BENCH_QUICK").is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-}
 
 /// The sweep's fault scenarios, parameterized by the trace's span so the
 /// fault lands mid-run at any trace length.

@@ -19,15 +19,11 @@
 //!
 //! `MIMD_BENCH_QUICK=1` shrinks the sweep for CI smoke runs.
 
-use mimd_bench::{ms, print_table, run_jobs, shared_trace, ExperimentLog, Job, Json};
+use mimd_bench::{ms, print_table, quick, run_jobs, shared_trace, ExperimentLog, Job, Json};
 use mimd_core::models::{mttdl_mirrored, mttdl_parity_array, mttdl_unprotected};
 use mimd_core::{EngineConfig, FaultPlan, ParityConfig, RunReport, Shape};
 use mimd_sim::{SimDuration, SimTime};
 use mimd_workload::SyntheticSpec;
-
-fn quick() -> bool {
-    std::env::var("MIMD_BENCH_QUICK").is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-}
 
 /// One organization of the eight-disk budget.
 struct Org {

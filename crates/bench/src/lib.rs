@@ -78,6 +78,12 @@ pub fn engine_threads() -> usize {
     want.clamp(1, mimd_harness::shard_budget())
 }
 
+/// Whether `MIMD_BENCH_QUICK` (`1` or `true`) asks for the shrunken sweep
+/// the CI smoke and witness steps run instead of the full one.
+pub fn quick() -> bool {
+    std::env::var("MIMD_BENCH_QUICK").is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
+}
+
 /// Runs a trace on a fresh array and returns the report.
 ///
 /// # Panics
