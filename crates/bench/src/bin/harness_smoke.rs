@@ -1,64 +1,70 @@
 //! Harness smoke test and thread-scaling demonstration.
 //!
-//! Runs one small but real experiment grid serially and at several worker
-//! counts, asserts the emitted JSON is **byte-identical** at every count
-//! (the harness's core guarantee), and records the wall-clock times. The
-//! numbers are honest for whatever machine runs this: on a single-core
-//! container the parallel runs show overhead, not speedup, and the record
-//! says how many cores were available.
+//! Runs one small but real list of experiment jobs serially and at
+//! several worker counts, asserts the emitted JSON is **byte-identical**
+//! at every count (the harness's core guarantee), and records the
+//! wall-clock times. The numbers are honest for whatever machine runs
+//! this: on a single-core container the parallel runs show overhead, not
+//! speedup, and the record says how many cores were available.
 //!
 //! Exits non-zero if any thread count produces different bytes, so CI can
 //! use it as the determinism gate.
 
 use std::time::Instant;
 
-use mimd_bench::Json;
-use mimd_core::{Policy, Shape};
-use mimd_harness::{shared_arena, write_json, GridSpec, Workload};
-use mimd_workload::{IometerSpec, SyntheticSpec};
+use mimd_bench::{shared_trace, Job, Json};
+use mimd_core::{EngineConfig, Policy, Shape};
+use mimd_harness::{report_json, run_jobs_on, write_json, RunCache};
+use mimd_workload::{IometerSpec, SyntheticSpec, Trace};
 
-fn grid() -> GridSpec {
-    // Shared struct-of-arrays arena: generated once per process, replayed
-    // by every cell of every grid below without cloning requests.
-    let trace = shared_arena(&SyntheticSpec::cello_base(), 7, 2_000);
+/// 3 shapes × 2 policies × 2 workloads, in that nesting order.
+fn jobs(trace: &Trace) -> Vec<Job<'_>> {
     let data = 4 * 1024 * 1024;
-    GridSpec {
-        name: "harness_smoke".into(),
-        shapes: vec![
-            Shape::striping(2),
-            Shape::sr_array(2, 2).unwrap(),
-            Shape::sr_array(2, 3).unwrap(),
-        ],
-        policies: vec![None, Some(Policy::Look)],
-        workloads: vec![
-            ("cello-2k".into(), Workload::Arena(trace)),
-            (
-                "rand-read".into(),
-                Workload::Closed {
-                    spec: IometerSpec::random_read_512(data),
-                    data_sectors: data,
-                    outstanding: 8,
-                    completions: 500,
-                },
-            ),
-        ],
-        seeds: vec![42],
+    let mut jobs = Vec::new();
+    for shape in [
+        Shape::striping(2),
+        Shape::sr_array(2, 2).unwrap(),
+        Shape::sr_array(2, 3).unwrap(),
+    ] {
+        for policy in [None, Some(Policy::Look)] {
+            let mut cfg = EngineConfig::new(shape).with_seed(42);
+            if let Some(p) = policy {
+                cfg = cfg.with_policy(p);
+            }
+            jobs.push(Job::trace(cfg.clone(), trace));
+            jobs.push(Job::closed(cfg, IometerSpec::random_read_512(data), 8, 500));
+        }
     }
+    jobs
+}
+
+/// Every job's report as one JSON array, in job order.
+fn run(threads: usize, trace: &Trace) -> String {
+    let reports = run_jobs_on(threads, &RunCache::from_env(), jobs(trace));
+    Json::Arr(
+        reports
+            .into_iter()
+            .map(|mut r| report_json(&mut r))
+            .collect(),
+    )
+    .to_json()
 }
 
 fn main() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let cells = grid().cells().len();
-    println!("harness smoke: {cells} cells, {cores} core(s) available");
+    // Generated once per process and replayed by every trace job below.
+    let trace = shared_trace(&SyntheticSpec::cello_base(), 7, 2_000);
+    let n_jobs = jobs(&trace).len();
+    println!("harness smoke: {n_jobs} jobs, {cores} core(s) available");
 
     // One discarded pass warms the allocator, page cache, and lazily
     // initialised tables before anything is timed, so the serial
     // reference does not absorb the one-time costs.
-    let _ = grid().run_with(1, |c| c).to_json().to_json();
+    let _ = run(1, &trace);
     let t0 = Instant::now();
-    let serial = grid().run_with(1, |c| c).to_json().to_json();
+    let serial = run(1, &trace);
     let serial_s = t0.elapsed().as_secs_f64();
     println!("  threads= 1  {serial_s:>7.3}s  (reference)");
 
@@ -71,9 +77,9 @@ fn main() {
     for threads in [2usize, 4, 8] {
         // Discarded warmup at this thread count: pool spin-up and
         // first-touch effects land outside the timed window.
-        let _ = grid().run_with(threads, |c| c).to_json().to_json();
+        let _ = run(threads, &trace);
         let t = Instant::now();
-        let parallel = grid().run_with(threads, |c| c).to_json().to_json();
+        let parallel = run(threads, &trace);
         let wall = t.elapsed().as_secs_f64();
         let identical = parallel == serial;
         ok &= identical;
@@ -92,7 +98,7 @@ fn main() {
 
     let doc = Json::object([
         ("experiment", Json::from("harness_scaling")),
-        ("cells", Json::from(cells)),
+        ("jobs", Json::from(n_jobs)),
         ("available_cores", Json::from(cores)),
         ("serial_bytes", Json::from(serial.len() as u64)),
         ("runs", Json::Arr(runs)),
@@ -104,7 +110,7 @@ fn main() {
             ),
         ),
     ]);
-    match write_json("BENCH_harness_scaling", &doc) {
+    match write_json("harness_scaling", &doc) {
         Ok(p) => println!("\n[json] {}", p.display()),
         Err(e) => eprintln!("\n[json] write failed: {e}"),
     }

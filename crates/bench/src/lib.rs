@@ -8,11 +8,11 @@
 use std::sync::Arc;
 
 use mimd_core::models::DiskCharacter;
-use mimd_core::{ArraySim, EngineConfig, RunReport, Shape};
+use mimd_core::{RunReport, Shape};
 use mimd_disk::DiskParams;
-use mimd_workload::{IometerSpec, SyntheticSpec, Trace};
+use mimd_workload::{SyntheticSpec, Trace};
 
-pub use mimd_harness::Json;
+pub use mimd_harness::{run_jobs, shared_trace, Job, Json};
 
 /// Canonical request counts, sized so every binary finishes in seconds
 /// while staying deep in steady state.
@@ -49,8 +49,6 @@ impl Workloads {
     }
 }
 
-pub use mimd_harness::{shared_arena, shared_trace};
-
 /// The model-facing characteristics of the experiment drive.
 pub fn drive_character() -> DiskCharacter {
     DiskCharacter::from_params(&DiskParams::st39133lwv())
@@ -63,144 +61,10 @@ pub fn drive_character_4k() -> DiskCharacter {
     DiskCharacter::from_params(&p).with_transfer(8, &p)
 }
 
-/// The worker count one engine may use for its internal shard
-/// parallelism: `MIMD_SHARDS` (default 1 — experiments parallelise across
-/// grid cells, not inside them), clamped to the harness's
-/// [`mimd_harness::shard_budget`] so `cells × shards` never oversubscribes
-/// the machine. Results are byte-identical at any value; this only sets
-/// wall-clock concurrency.
-pub fn engine_threads() -> usize {
-    let want = std::env::var("MIMD_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1);
-    want.clamp(1, mimd_harness::shard_budget())
-}
-
 /// Whether `MIMD_BENCH_QUICK` (`1` or `true`) asks for the shrunken sweep
 /// the CI smoke and witness steps run instead of the full one.
 pub fn quick() -> bool {
     std::env::var("MIMD_BENCH_QUICK").is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-}
-
-/// Runs a trace on a fresh array and returns the report.
-///
-/// # Panics
-///
-/// Panics if the layout is infeasible (the experiment chose a bad shape).
-pub fn run_trace(cfg: EngineConfig, trace: &Trace) -> RunReport {
-    let mut sim =
-        ArraySim::new(cfg, trace.data_sectors).expect("experiment shape must fit the data set");
-    sim.set_parallelism(engine_threads());
-    sim.run_trace(trace)
-}
-
-/// One simulation a reproduction binary wants run: a fully-formed config
-/// plus its workload. Binaries enumerate every job of an experiment up
-/// front, fan them out with [`run_jobs`], and consume the reports in the
-/// same order — so the printed tables are identical to a serial run.
-pub enum Job<'a> {
-    /// Open-loop replay of a trace.
-    Trace {
-        /// Engine configuration for this run.
-        cfg: EngineConfig,
-        /// The trace to replay (shared, not cloned per job).
-        trace: &'a Trace,
-    },
-    /// Iometer-style closed loop.
-    Closed {
-        /// Engine configuration for this run.
-        cfg: EngineConfig,
-        /// Request generator; its `data_sectors` sizes the layout.
-        spec: IometerSpec,
-        /// Requests kept in flight.
-        outstanding: usize,
-        /// Completions to measure.
-        completions: u64,
-    },
-}
-
-impl<'a> Job<'a> {
-    /// An open-loop trace-replay job.
-    pub fn trace(cfg: EngineConfig, trace: &'a Trace) -> Job<'a> {
-        Job::Trace { cfg, trace }
-    }
-
-    /// A closed-loop job; the layout is sized from `spec.data_sectors`.
-    pub fn closed(
-        cfg: EngineConfig,
-        spec: IometerSpec,
-        outstanding: usize,
-        completions: u64,
-    ) -> Job<'a> {
-        Job::Closed {
-            cfg,
-            spec,
-            outstanding,
-            completions,
-        }
-    }
-
-    fn run(&self) -> RunReport {
-        match self {
-            Job::Trace { cfg, trace } => run_trace(cfg.clone(), trace),
-            Job::Closed {
-                cfg,
-                spec,
-                outstanding,
-                completions,
-            } => {
-                let mut sim = ArraySim::new(cfg.clone(), spec.data_sectors)
-                    .expect("experiment shape must fit the data set");
-                sim.set_parallelism(engine_threads());
-                sim.run_closed_loop(spec, *outstanding, *completions)
-            }
-        }
-    }
-
-    /// The job's content address for the run cache: resolved config plus
-    /// workload content (see [`mimd_harness::fp`]).
-    fn fingerprint(&self) -> u64 {
-        match self {
-            Job::Trace { cfg, trace } => mimd_harness::fp::trace_job(cfg, trace),
-            Job::Closed {
-                cfg,
-                spec,
-                outstanding,
-                completions,
-            } => mimd_harness::fp::closed_job(cfg, spec, *outstanding, *completions),
-        }
-    }
-}
-
-/// Runs every job across the harness thread pool (`MIMD_THREADS` workers,
-/// defaulting to the machine's parallelism) and returns the reports in job
-/// order. Each job runs one single-threaded simulator; results are merged
-/// back in order, so output does not depend on the worker count.
-///
-/// Jobs are memoized through the content-addressed run cache
-/// ([`mimd_harness::RunCache`]): an unchanged job on unchanged code
-/// decodes its stored report instead of simulating. The per-binary
-/// hit/miss tally is printed once per call. `MIMD_NO_CACHE=1` forces
-/// cold runs.
-pub fn run_jobs(jobs: Vec<Job<'_>>) -> Vec<RunReport> {
-    let cache = mimd_harness::RunCache::from_env();
-    let reports = mimd_harness::parallel_map(jobs, |job| {
-        cache.get_or_run(job.fingerprint(), || job.run())
-    });
-    cache.report_summary(&binary_name());
-    reports
-}
-
-/// The running binary's file stem, for cache-summary labels.
-fn binary_name() -> String {
-    std::env::args()
-        .next()
-        .as_deref()
-        .map(std::path::Path::new)
-        .and_then(|p| p.file_stem()?.to_str().map(str::to_owned))
-        .unwrap_or_else(|| "bench".to_string())
 }
 
 /// Accumulates one experiment's machine-readable record and writes it to
@@ -305,6 +169,7 @@ pub fn ratio(a: f64, b: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mimd_core::EngineConfig;
 
     #[test]
     fn workloads_generate_canonical_sizes() {
@@ -325,7 +190,7 @@ mod tests {
     #[test]
     fn run_trace_smoke() {
         let trace = SyntheticSpec::cello_base().generate(1, 100);
-        let r = run_trace(EngineConfig::new(Shape::striping(2)), &trace);
+        let r = Job::trace(EngineConfig::new(Shape::striping(2)), &trace).run();
         assert_eq!(r.completed, 100);
     }
 }

@@ -11,7 +11,7 @@
 //!   [`TaskId`]s; queues and indexes store ids, never moved structs.
 //! - **SATF/RSATF** maintain a *rotational band index* in
 //!   struct-of-arrays form: every candidate (entry × replica) lives in
-//!   the per-cylinder-band [`BandLanes`] — flat, parallel columns of
+//!   the per-cylinder-band `BandLanes` — flat, parallel columns of
 //!   arrival seq, packed identity key (slot, cylinder, surface, replica,
 //!   write flag), memoised phase, and offset-free base angle. A pick
 //!   walks occupied bands outward from the arm, skips any band whose

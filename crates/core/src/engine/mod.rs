@@ -19,13 +19,13 @@
 //! # Sharded execution
 //!
 //! The engine is split along the array's mirror-group boundary: one
-//! [`shard::Shard`] per group owns that group's disks, drive queues,
+//! `shard::Shard` per group owns that group's disks, drive queues,
 //! event queue, fault context, and named RNG streams (every physical
 //! consequence of a fragment — replicas, duplicates, retries, rebuild
 //! traffic — stays inside its group). `ArraySim` is the *conductor*: it
 //! routes each request's fragments to the owning shards as timestamped
-//! [`shard::Submission`]s and folds the shards' completion/health
-//! [`shard::Note`]s back into logical-request accounting.
+//! `shard::Submission`s and folds the shards' completion/health
+//! `shard::Note`s back into logical-request accounting.
 //!
 //! Two drive modes, chosen by configuration only (never by thread count):
 //!
@@ -63,7 +63,7 @@ use std::collections::VecDeque;
 use mimd_disk::DiskParams;
 use mimd_disk::{Geometry, PositionKnowledge, SeekProfile, TimingPath};
 use mimd_sim::{DetWitness, EventQueue, SimDuration, SimRng, SimTime};
-use mimd_workload::{IometerSpec, Op, RequestSource, Trace};
+use mimd_workload::{IometerSpec, Op, Trace};
 
 use crate::config::Shape;
 use crate::faults::FaultPlan;
@@ -631,22 +631,16 @@ impl ArraySim {
         &self.layout
     }
 
-    /// Replays an open-loop trace to completion and reports.
+    /// Replays an open-loop trace to completion and reports. Without a
+    /// memory cache the replay runs structured (shards in parallel); with
+    /// one it runs interleaved, since cache hits are a cross-shard
+    /// feedback path.
     pub fn run_trace(&mut self, trace: &Trace) -> RunReport {
-        self.run_source(trace)
-    }
-
-    /// Replays any [`RequestSource`] — a [`Trace`] or a shared
-    /// struct-of-arrays [`mimd_workload::WorkloadArena`] — as an open-loop
-    /// stream. Without a memory cache the replay runs structured (shards
-    /// in parallel); with one it runs interleaved, since cache hits are a
-    /// cross-shard feedback path.
-    pub fn run_source<S: RequestSource + ?Sized>(&mut self, source: &S) -> RunReport {
         self.arm_failures();
         if self.cache.is_none() {
-            self.run_structured(source)
+            self.run_structured(trace)
         } else {
-            self.drive_interleaved(Some(source))
+            self.drive_interleaved(Some(trace))
         }
     }
 
@@ -670,17 +664,16 @@ impl ArraySim {
             self.submit(SimTime::from_nanos(i as u64), op, lbn, sectors);
         }
         self.pump_notes();
-        self.drive_interleaved(None::<&Trace>)
+        self.drive_interleaved(None)
     }
 
     /// Structured drive: pre-scan every arrival into per-shard submission
     /// lists, run each shard to quiescence (in parallel up to the worker
     /// cap), then merge the shards' notes in canonical order.
-    fn run_structured<S: RequestSource + ?Sized>(&mut self, source: &S) -> RunReport {
+    fn run_structured(&mut self, trace: &Trace) -> RunReport {
         let groups = self.shards.len();
         let mut subs: Vec<Vec<Submission>> = vec![Vec::new(); groups];
-        for cursor in 0..source.len() {
-            let r = source.get(cursor);
+        for (cursor, r) in trace.requests().iter().enumerate() {
             // Arrivals fold under the cursor index: the stream is fixed by
             // the trace alone, never by execution order.
             self.pops.fold(r.arrival, cursor as u64, u32::MAX, 0);
@@ -719,21 +712,20 @@ impl ArraySim {
     /// arrival, conductor completions, shards} fires earliest. The tie
     /// order at equal instants is fixed — arrival, then conductor, then
     /// shards by index — so the timeline is reproducible.
-    fn drive_interleaved<S: RequestSource + ?Sized>(&mut self, source: Option<&S>) -> RunReport {
+    fn drive_interleaved(&mut self, trace: Option<&Trace>) -> RunReport {
         // Arming, closed-loop priming and earlier runs moved shard heads
         // outside this loop: key every shard once.
         for c in 0..self.shards.len() {
             self.dirty.insert(c);
         }
         self.rekey();
-        let n = source.map_or(0, |s| s.len());
+        let requests = trace.map_or(&[][..], Trace::requests);
+        let n = requests.len();
         let mut cursor = 0usize;
         loop {
             let mut best: Option<(SimTime, usize)> = None;
-            if cursor < n {
-                if let Some(s) = source {
-                    best = Some((s.get(cursor).arrival, 0));
-                }
+            if let Some(r) = requests.get(cursor) {
+                best = Some((r.arrival, 0));
             }
             if let Some(t) = self.events.peek_time() {
                 if best.is_none_or(|(bt, _)| t < bt) {
@@ -760,8 +752,7 @@ impl ArraySim {
             };
             match rank {
                 0 => {
-                    let Some(s) = source else { break };
-                    let r = s.get(cursor);
+                    let r = requests[cursor];
                     self.pops.fold(now, cursor as u64, u32::MAX, 0);
                     cursor += 1;
                     self.submit(now, r.op, r.lbn, r.sectors);

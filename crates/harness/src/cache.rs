@@ -1,6 +1,6 @@
 //! The content-addressed run cache.
 //!
-//! Every grid job is identified by a structural fingerprint (see [`crate::fp`])
+//! Every job is identified by a structural fingerprint (see [`crate::fp`])
 //! of its resolved config, its workload content, its seed, and the
 //! workspace *code-version fingerprint* baked in at build time. Completed
 //! jobs persist their [`RunReport`] under `MIMD_CACHE_DIR` (default
@@ -63,7 +63,7 @@ pub struct RunCache {
 /// inline would serialize disk time into the simulation wall-clock (on a
 /// single-core host the store path *is* the cold-run overhead). Workers
 /// encode in place and hand the bytes to this thread; [`RunCache::flush`]
-/// joins it, so once a grid's summary prints every entry is durable.
+/// joins it, so once `run_jobs_on` returns every entry is durable.
 struct Writer {
     tx: mpsc::Sender<(PathBuf, Vec<u8>)>,
     handle: std::thread::JoinHandle<()>,

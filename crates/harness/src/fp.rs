@@ -16,7 +16,7 @@
 
 use mimd_core::{EngineConfig, MirrorPolicy, Policy, RaidLevel, ReplicaPlacement, WriteMode};
 use mimd_disk::{PositionKnowledge, TimingPath};
-use mimd_workload::{Access, IometerSpec, Op, RequestSource, SyntheticSpec, Trace};
+use mimd_workload::{Access, IometerSpec, Op, SyntheticSpec, Trace};
 
 /// An incremental FNV-1a 64-bit hasher.
 #[derive(Debug, Clone)]
@@ -187,15 +187,15 @@ pub fn write_config(fp: &mut Fp, cfg: &EngineConfig) {
     }
 }
 
-/// Absorbs a request stream by content: name, data-set size, and every
-/// request's arrival/op/lbn/size. Works for traces and arenas alike.
-pub fn write_source<S: RequestSource + ?Sized>(fp: &mut Fp, src: &S) {
+/// Absorbs a trace by content: name, data-set size, and every request's
+/// arrival/op/lbn/size. The leading tag names a replay trait that no
+/// longer exists; it is kept so job fingerprints do not change.
+pub fn write_source(fp: &mut Fp, trace: &Trace) {
     fp.write_str("RequestSource");
-    fp.write_str(src.source_name());
-    fp.write_u64(src.data_sectors());
-    fp.write_u64(src.len() as u64);
-    for i in 0..src.len() {
-        let r = src.get(i);
+    fp.write_str(&trace.name);
+    fp.write_u64(trace.data_sectors);
+    fp.write_u64(trace.len() as u64);
+    for r in trace.requests() {
         fp.write_u64(r.arrival.as_nanos());
         fp.write_u64(op_tag(r.op));
         fp.write_u64(r.lbn);

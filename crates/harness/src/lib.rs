@@ -8,29 +8,30 @@
 //! - [`parallel_map`] fans independent jobs over scoped worker threads with
 //!   a work-stealing cursor, then merges results back **in job order**, so
 //!   output bytes never depend on thread count or OS scheduling.
-//! - [`GridSpec`] declares an experiment as a shape × policy × workload ×
-//!   seed grid; each cell runs one private [`mimd_core::ArraySim`].
+//! - [`Job`] is one simulation (a config plus a trace or a closed loop);
+//!   [`run_jobs`] fans a job list over the pool, each job on one private
+//!   [`mimd_core::ArraySim`], and returns the reports in job order.
 //! - [`Json`] is a hand-rolled serializer (the workspace builds offline),
 //!   and [`write_json`] drops experiment records under `MIMD_JSON_DIR`
 //!   (default `target/experiments/`) for the perf trajectory.
 //! - [`RunCache`] memoizes completed runs content-addressed by structural
 //!   fingerprint ([`fp`]) under `MIMD_CACHE_DIR`; unchanged re-runs decode
 //!   stored bytes instead of simulating (`MIMD_NO_CACHE=1` opts out).
-//! - [`shared_trace`]/[`shared_arena`] generate each workload stream once
-//!   per process and share it across grid jobs via `Arc`.
+//! - [`shared_trace`] generates each workload stream once per process and
+//!   shares it across jobs via `Arc`.
 
 pub mod cache;
 pub mod fp;
-mod grid;
+mod job;
 mod json;
 mod pool;
 mod workload;
 
 pub use cache::{cache_dir, code_fingerprint, RunCache};
-pub use grid::{report_json, Cell, CellResult, GridResult, GridSpec, Workload};
+pub use job::{report_json, run_jobs, run_jobs_on, Job};
 pub use json::Json;
-pub use pool::{configured_threads, parallel_map, parallel_map_with, shard_budget};
-pub use workload::{shared_arena, shared_trace};
+pub use pool::{configured_threads, engine_threads, parallel_map, parallel_map_with, shard_budget};
+pub use workload::shared_trace;
 
 use std::io::Write as _;
 use std::path::PathBuf;

@@ -68,6 +68,20 @@ pub fn shard_budget() -> usize {
     })
 }
 
+/// The worker count one engine may use for its internal shard
+/// parallelism: `MIMD_SHARDS` (default 1 — experiments parallelise across
+/// jobs, not inside them), clamped to [`shard_budget`] so `jobs × shards`
+/// never oversubscribes the machine. Results are byte-identical at any
+/// value; this only sets wall-clock concurrency.
+pub fn engine_threads() -> usize {
+    let want = std::env::var("MIMD_SHARDS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n >= 1)
+        .unwrap_or(1);
+    want.clamp(1, shard_budget())
+}
+
 /// The panic payload of one failed job, rendered for the aggregate error.
 fn describe_panic(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {

@@ -1,7 +1,7 @@
 //! The process-wide shared-workload registry.
 //!
-//! Grid binaries used to regenerate the same synthetic trace once per
-//! grid (or worse, once per cell). The registry generates each
+//! Experiment binaries used to regenerate the same synthetic trace once
+//! per sweep (or worse, once per job). The registry generates each
 //! `(spec, seed, n)` stream **once per process**, wraps it in an `Arc`,
 //! and hands the same immutable storage to every caller — so a 19-binary
 //! experiment sweep does each generation exactly once and replays share
@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use mimd_workload::{SyntheticSpec, Trace, WorkloadArena};
+use mimd_workload::{SyntheticSpec, Trace};
 
 use crate::fp::{write_synth_spec, Fp};
 
@@ -27,11 +27,6 @@ fn spec_key(spec: &SyntheticSpec, seed: u64, n: usize) -> u64 {
 
 fn trace_registry() -> &'static Mutex<BTreeMap<u64, Arc<Trace>>> {
     static REG: OnceLock<Mutex<BTreeMap<u64, Arc<Trace>>>> = OnceLock::new();
-    REG.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-fn arena_registry() -> &'static Mutex<BTreeMap<u64, Arc<WorkloadArena>>> {
-    static REG: OnceLock<Mutex<BTreeMap<u64, Arc<WorkloadArena>>>> = OnceLock::new();
     REG.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
@@ -50,21 +45,9 @@ pub fn shared_trace(spec: &SyntheticSpec, seed: u64, n: usize) -> Arc<Trace> {
     Arc::clone(trace_registry().lock().unwrap().entry(key).or_insert(trace))
 }
 
-/// The shared struct-of-arrays arena for `(spec, seed, n)`, built at most
-/// once per process from the shared trace.
-pub fn shared_arena(spec: &SyntheticSpec, seed: u64, n: usize) -> Arc<WorkloadArena> {
-    let key = spec_key(spec, seed, n);
-    if let Some(a) = arena_registry().lock().unwrap().get(&key) {
-        return Arc::clone(a);
-    }
-    let arena = Arc::new(WorkloadArena::from_trace(&shared_trace(spec, seed, n)));
-    Arc::clone(arena_registry().lock().unwrap().entry(key).or_insert(arena))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mimd_workload::RequestSource;
 
     #[test]
     fn shared_trace_returns_same_arc() {
@@ -87,18 +70,5 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(a.len(), 32);
         assert_eq!(c.len(), 33);
-    }
-
-    #[test]
-    fn shared_arena_matches_shared_trace() {
-        let spec = SyntheticSpec::cello_disk6();
-        let trace = shared_trace(&spec, 777, 40);
-        let arena = shared_arena(&spec, 777, 40);
-        let again = shared_arena(&spec, 777, 40);
-        assert!(Arc::ptr_eq(&arena, &again));
-        assert_eq!(arena.len(), trace.len());
-        for i in 0..trace.len() {
-            assert_eq!(arena.get(i), trace.get(i), "request {i}");
-        }
     }
 }

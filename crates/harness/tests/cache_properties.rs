@@ -2,7 +2,7 @@
 //!
 //! Three families, per the cache's safety story:
 //!
-//! 1. **Hit fidelity** — for randomized grids, a warm re-run through the
+//! 1. **Hit fidelity** — for randomized job lists, a warm re-run through the
 //!    cache emits bytes identical to a cold run (and to a cache-disabled
 //!    run).
 //! 2. **Fingerprint sensitivity** — flipping any config field, the seed,
@@ -13,14 +13,13 @@
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use mimd_core::{EngineConfig, MirrorPolicy, Policy, ReplicaPlacement, Shape, WriteMode};
 use mimd_harness::fp;
-use mimd_harness::{GridSpec, RunCache, Workload};
+use mimd_harness::{report_json, run_jobs_on, Job, RunCache};
 use mimd_sim::check::{case_seed, check_cases};
 use mimd_sim::{SimDuration, SimRng};
-use mimd_workload::{IometerSpec, SyntheticSpec};
+use mimd_workload::{IometerSpec, SyntheticSpec, Trace};
 
 fn temp_cache_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mimd-cache-prop-{tag}-{}", std::process::id()));
@@ -28,13 +27,45 @@ fn temp_cache_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A small random grid: 1–2 shapes × 1–2 policies × trace-or-closed
-/// workload × 1–2 seeds, all drawn from the case's seeded stream.
+/// The closed-loop data-set size, in sectors.
+const CLOSED_DATA: u64 = 4 * 1024 * 1024;
+
+/// A small random job list: 1–2 shapes × 1–2 policies × 1–2 seeds over
+/// one trace-or-closed workload, all drawn from the case's seeded stream.
 ///
-/// Axes are distinct **as resolved configs** (distinct shapes, policies
-/// that can't alias the `None` default, distinct seeds), so every cell is
-/// a unique job and hit/miss counts are exact.
-fn random_grid(rng: &mut SimRng) -> GridSpec {
+/// The configs are distinct (distinct shapes, policies that can't alias
+/// the default, distinct seeds), so every job is unique and hit/miss
+/// counts are exact.
+struct RandomJobs {
+    cfgs: Vec<EngineConfig>,
+    /// The replayed trace; `None` makes every job a closed loop.
+    trace: Option<Trace>,
+    outstanding: usize,
+    completions: u64,
+}
+
+impl RandomJobs {
+    fn jobs(&self) -> Vec<Job<'_>> {
+        self.cfgs
+            .iter()
+            .map(|cfg| match &self.trace {
+                Some(t) => Job::trace(cfg.clone(), t),
+                None => Job::closed(
+                    cfg.clone(),
+                    IometerSpec::random_read_512(CLOSED_DATA),
+                    self.outstanding,
+                    self.completions,
+                ),
+            })
+            .collect()
+    }
+
+    fn len(&self) -> u64 {
+        self.cfgs.len() as u64
+    }
+}
+
+fn random_jobs(rng: &mut SimRng) -> RandomJobs {
     let all_shapes = [
         Shape::striping(2),
         Shape::striping(3),
@@ -56,56 +87,72 @@ fn random_grid(rng: &mut SimRng) -> GridSpec {
     if rng.below(2) == 1 {
         seeds.push(base_seed + 1 + rng.below(1_000));
     }
-    let workload = if rng.below(2) == 0 {
+    let (trace, outstanding, completions) = if rng.below(2) == 0 {
         let n = 80 + rng.below(120) as usize;
-        let trace = Arc::new(SyntheticSpec::cello_base().generate(rng.below(1 << 20), n));
-        Workload::Trace(trace)
+        let trace = SyntheticSpec::cello_base().generate(rng.below(1 << 20), n);
+        (Some(trace), 0, 0)
     } else {
-        let data = 4 * 1024 * 1024;
-        Workload::Closed {
-            spec: IometerSpec::random_read_512(data),
-            data_sectors: data,
-            outstanding: 2 + rng.below(6) as usize,
-            completions: 40 + rng.below(60),
-        }
+        (None, 2 + rng.below(6) as usize, 40 + rng.below(60))
     };
-    GridSpec {
-        name: "cache-prop".into(),
-        shapes,
-        policies,
-        workloads: vec![("w".into(), workload)],
-        seeds,
+    RandomJobs {
+        cfgs: configs(&shapes, &policies, &seeds),
+        trace,
+        outstanding,
+        completions,
     }
+}
+
+/// Every shape × policy × seed config, in that nesting order; a `None`
+/// policy keeps the shape's default.
+fn configs(shapes: &[Shape], policies: &[Option<Policy>], seeds: &[u64]) -> Vec<EngineConfig> {
+    let mut cfgs = Vec::new();
+    for &shape in shapes {
+        for &policy in policies {
+            for &seed in seeds {
+                let mut cfg = EngineConfig::new(shape).with_seed(seed);
+                if let Some(p) = policy {
+                    cfg = cfg.with_policy(p);
+                }
+                cfgs.push(cfg);
+            }
+        }
+    }
+    cfgs
+}
+
+/// Runs `jobs` and returns each report's JSON, one line per job in order.
+fn run_bytes(threads: usize, cache: &RunCache, jobs: Vec<Job<'_>>) -> String {
+    run_jobs_on(threads, cache, jobs)
+        .into_iter()
+        .map(|mut r| report_json(&mut r).to_json())
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 #[test]
 fn warm_rerun_is_byte_identical_to_cold() {
     check_cases("cache::hit_fidelity", 6, |case, rng| {
-        let grid = random_grid(rng);
+        let sweep = random_jobs(rng);
         let dir = temp_cache_dir(&format!("fidelity-{case}"));
         let cache = RunCache::at(&dir, 0xC0DE + case);
 
-        let disabled = grid
-            .run_cached(1, &RunCache::disabled(), |c| c)
-            .to_json()
-            .to_json();
-        let cold = grid.run_cached(1, &cache, |c| c).to_json().to_json();
-        let cells = grid.cells().len() as u64;
+        let disabled = run_bytes(1, &RunCache::disabled(), sweep.jobs());
+        let cold = run_bytes(1, &cache, sweep.jobs());
         assert_eq!(cache.hits(), 0, "case {case}: cold pass must not hit");
-        assert_eq!(cache.misses(), cells, "case {case}");
+        assert_eq!(cache.misses(), sweep.len(), "case {case}");
 
-        let warm = grid.run_cached(1, &cache, |c| c).to_json().to_json();
+        let warm = run_bytes(1, &cache, sweep.jobs());
         assert_eq!(
             cache.hits(),
-            cells,
-            "case {case}: warm pass must hit every cell"
+            sweep.len(),
+            "case {case}: warm pass must hit every job"
         );
         assert_eq!(warm, cold, "case {case}: warm bytes differ from cold");
         assert_eq!(cold, disabled, "case {case}: cache changed the output");
 
         // Parallel warm replay is byte-identical too (tiny jobs exercise
         // the chunked work-claiming path).
-        let parallel = grid.run_cached(4, &cache, |c| c).to_json().to_json();
+        let parallel = run_bytes(4, &cache, sweep.jobs());
         assert_eq!(parallel, cold, "case {case}: parallel warm bytes differ");
         let _ = std::fs::remove_dir_all(&dir);
     });
@@ -195,64 +242,56 @@ fn faulted_grids_replay_byte_identical_at_any_thread_count() {
     // Fault scenarios draw from a dedicated named RNG stream inside each
     // (single-threaded) simulator, so the harness thread count cannot
     // leak into results — and a warm cache replay returns the same bytes.
-    let trace = Arc::new(SyntheticSpec::cello_base().generate(21, 120));
-    let grid = GridSpec {
-        name: "faulted".into(),
-        shapes: vec![Shape::mirror(2), Shape::sr_array(2, 2).unwrap()],
-        policies: vec![None, Some(Policy::Look)],
-        workloads: vec![("w".into(), Workload::Trace(trace))],
-        seeds: vec![3, 4],
-    };
-    let customize = |c: EngineConfig| {
-        let faults = mimd_core::FaultPlan::new()
-            .fail_stop(0, mimd_sim::SimTime::from_secs(2))
-            .media_errors(0.02, 0.0)
-            .retry(
-                SimDuration::from_millis(50),
-                3,
-                SimDuration::from_millis(400),
-            )
-            .redirect_slow_reads();
-        c.with_faults(faults)
-    };
-    let serial = grid
-        .run_cached(1, &RunCache::disabled(), customize)
-        .to_json()
-        .to_json();
-    for threads in [2, 8] {
-        let parallel = grid
-            .run_cached(threads, &RunCache::disabled(), customize)
-            .to_json()
-            .to_json();
+    let trace = SyntheticSpec::cello_base().generate(21, 120);
+    let faults = mimd_core::FaultPlan::new()
+        .fail_stop(0, mimd_sim::SimTime::from_secs(2))
+        .media_errors(0.02, 0.0)
+        .retry(
+            SimDuration::from_millis(50),
+            3,
+            SimDuration::from_millis(400),
+        )
+        .redirect_slow_reads();
+    let cfgs: Vec<EngineConfig> = configs(
+        &[Shape::mirror(2), Shape::sr_array(2, 2).unwrap()],
+        &[None, Some(Policy::Look)],
+        &[3, 4],
+    )
+    .into_iter()
+    .map(|c| c.with_faults(faults.clone()))
+    .collect();
+    let jobs = || -> Vec<Job<'_>> { cfgs.iter().map(|c| Job::trace(c.clone(), &trace)).collect() };
+    let serial = run_bytes(1, &RunCache::disabled(), jobs());
+    for threads in [2, 4, 8] {
+        let parallel = run_bytes(threads, &RunCache::disabled(), jobs());
         assert_eq!(parallel, serial, "threads = {threads}");
     }
     let dir = temp_cache_dir("faulted-threads");
     let cache = RunCache::at(&dir, 0xFA17);
-    let cold = grid.run_cached(4, &cache, customize).to_json().to_json();
-    let warm = grid.run_cached(4, &cache, customize).to_json().to_json();
+    let cold = run_bytes(4, &cache, jobs());
+    let warm = run_bytes(4, &cache, jobs());
     assert_eq!(cold, serial);
     assert_eq!(warm, serial, "warm faulted replay must be byte-identical");
-    assert_eq!(cache.hits(), grid.cells().len() as u64);
+    assert_eq!(cache.hits(), cfgs.len() as u64);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn code_fingerprint_flip_misses_the_cache() {
     check_cases("cache::code_fp", 4, |case, rng| {
-        let grid = random_grid(rng);
+        let sweep = random_jobs(rng);
         let dir = temp_cache_dir(&format!("codefp-{case}"));
-        let cells = grid.cells().len() as u64;
 
         let old_code = RunCache::at(&dir, 1000 + case);
-        let baseline = grid.run_cached(1, &old_code, |c| c).to_json().to_json();
-        assert_eq!(old_code.misses(), cells);
+        let baseline = run_bytes(1, &old_code, sweep.jobs());
+        assert_eq!(old_code.misses(), sweep.len());
 
         // Same directory, different code fingerprint: every entry is
-        // invisible, the grid re-runs cold, and the bytes still agree.
+        // invisible, the jobs re-run cold, and the bytes still agree.
         let new_code = RunCache::at(&dir, 2000 + case);
-        let rerun = grid.run_cached(1, &new_code, |c| c).to_json().to_json();
+        let rerun = run_bytes(1, &new_code, sweep.jobs());
         assert_eq!(new_code.hits(), 0, "case {case}: stale code version hit");
-        assert_eq!(new_code.misses(), cells, "case {case}");
+        assert_eq!(new_code.misses(), sweep.len(), "case {case}");
         assert_eq!(rerun, baseline, "case {case}: determinism across versions");
         let _ = std::fs::remove_dir_all(&dir);
     });
@@ -261,11 +300,10 @@ fn code_fingerprint_flip_misses_the_cache() {
 #[test]
 fn corrupted_and_truncated_entries_fall_back_to_cold_runs() {
     check_cases("cache::corruption", 4, |case, rng| {
-        let grid = random_grid(rng);
+        let sweep = random_jobs(rng);
         let dir = temp_cache_dir(&format!("corrupt-{case}"));
         let cache = RunCache::at(&dir, 0xBAD + case);
-        let baseline = grid.run_cached(1, &cache, |c| c).to_json().to_json();
-        let cells = grid.cells().len() as u64;
+        let baseline = run_bytes(1, &cache, sweep.jobs());
 
         // Mangle every stored entry: truncate odd files, flip a byte in
         // even ones (dir listing is sorted for determinism).
@@ -289,15 +327,19 @@ fn corrupted_and_truncated_entries_fall_back_to_cold_runs() {
         }
 
         let fresh = RunCache::at(&dir, 0xBAD + case);
-        let recovered = grid.run_cached(1, &fresh, |c| c).to_json().to_json();
+        let recovered = run_bytes(1, &fresh, sweep.jobs());
         assert_eq!(fresh.hits(), 0, "case {case}: corrupted entry served");
-        assert_eq!(fresh.misses(), cells, "case {case}");
+        assert_eq!(fresh.misses(), sweep.len(), "case {case}");
         assert_eq!(recovered, baseline, "case {case}: fallback bytes differ");
 
         // The cold fallback rewrote good entries: a third pass hits.
         let repaired = RunCache::at(&dir, 0xBAD + case);
-        let warm = grid.run_cached(1, &repaired, |c| c).to_json().to_json();
-        assert_eq!(repaired.hits(), cells, "case {case}: repair did not stick");
+        let warm = run_bytes(1, &repaired, sweep.jobs());
+        assert_eq!(
+            repaired.hits(),
+            sweep.len(),
+            "case {case}: repair did not stick"
+        );
         assert_eq!(warm, baseline, "case {case}");
         let _ = std::fs::remove_dir_all(&dir);
     });

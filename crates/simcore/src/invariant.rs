@@ -6,7 +6,7 @@
 //! builds, so the measured hot paths stay untouched, while every debug
 //! test run doubles as a model-consistency audit.
 //!
-//! Invariants wired through [`sim_invariant!`]:
+//! Invariants wired through [`sim_invariant!`](crate::sim_invariant!):
 //!
 //! - **Event-queue monotonicity** (`mimd_sim::event`): simulated time
 //!   never runs backwards — an event may be neither scheduled nor popped

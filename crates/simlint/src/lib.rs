@@ -534,8 +534,8 @@ mod tests {
             );
         }
         assert!(Scope::for_path("crates/bench/src/bin/fig06_cello_latency.rs").rng_provenance);
-        assert!(Scope::for_path("crates/harness/src/grid.rs").rng_provenance);
-        assert!(!Scope::for_path("crates/harness/src/grid.rs").shared_mutability);
+        assert!(Scope::for_path("crates/harness/src/job.rs").rng_provenance);
+        assert!(!Scope::for_path("crates/harness/src/job.rs").shared_mutability);
         assert!(!Scope::for_path("crates/simcore/src/rng.rs").rng_provenance);
         assert!(Scope::for_path("crates/simcore/src/rng.rs").shared_mutability);
         assert!(!Scope::for_path("crates/simlint/src/rules/shard.rs").rng_provenance);

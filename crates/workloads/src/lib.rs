@@ -12,8 +12,6 @@
 //!   statistics ([`SyntheticSpec`]).
 //! - [`iometer`]: the closed-loop micro-benchmark generator
 //!   ([`IometerSpec`]).
-//! - [`arena`]: shared struct-of-arrays request storage and the
-//!   [`RequestSource`] replay abstraction ([`WorkloadArena`]).
 //!
 //! # Examples
 //!
@@ -25,7 +23,6 @@
 //! assert!(stats.read_frac > 0.4);
 //! ```
 
-pub mod arena;
 pub mod io;
 pub mod iometer;
 pub mod request;
@@ -33,7 +30,6 @@ pub mod stats;
 pub mod synth;
 pub mod trace;
 
-pub use arena::{RequestSource, WorkloadArena};
 pub use iometer::{Access, IometerSpec};
 pub use request::{Op, Request};
 pub use stats::TraceStats;
