@@ -1,415 +1,52 @@
-//! Declarative experiment grids: shape × policy × workload × seed.
-//!
-//! A [`GridSpec`] names every cell of an experiment up front; [`GridSpec::run`]
-//! fans the cells across the thread pool (one single-threaded [`ArraySim`]
-//! per cell) and collects results back in grid order, so the emitted JSON is
-//! byte-identical whether the grid ran on one thread or sixteen.
-
-use std::sync::Arc;
-
-use mimd_core::{ArraySim, EngineConfig, Policy, RunReport, Shape};
-use mimd_workload::{IometerSpec, RequestSource, Trace, WorkloadArena};
-
-use crate::cache::RunCache;
-use crate::fp::{self, Fp};
-use crate::json::Json;
-use crate::pool::{configured_threads, parallel_map_with};
-
-/// What one grid cell drives into the simulator.
-#[derive(Clone)]
-pub enum Workload {
-    /// Open-loop replay of a shared trace.
-    Trace(Arc<Trace>),
-    /// Open-loop replay of a shared struct-of-arrays arena (see
-    /// [`crate::shared_arena`]).
-    Arena(Arc<WorkloadArena>),
-    /// Iometer-style closed loop.
-    Closed {
-        /// Request generator.
-        spec: IometerSpec,
-        /// Logical data size in sectors (the layout's capacity input).
-        data_sectors: u64,
-        /// Requests kept in flight.
-        outstanding: usize,
-        /// Completions to measure.
-        completions: u64,
-    },
-}
-
-impl Workload {
-    fn data_sectors(&self) -> u64 {
-        match self {
-            Workload::Trace(t) => t.data_sectors,
-            Workload::Arena(a) => a.data_sectors(),
-            Workload::Closed { data_sectors, .. } => *data_sectors,
-        }
-    }
-
-    /// Structural fingerprint of the workload's content (computed once per
-    /// workload per grid, then mixed into each cell's job fingerprint).
-    fn fingerprint(&self) -> u64 {
-        let mut fp = Fp::new();
-        match self {
-            Workload::Trace(t) => fp::write_source(&mut fp, t.as_ref()),
-            Workload::Arena(a) => fp::write_source(&mut fp, a.as_ref()),
-            Workload::Closed {
-                spec,
-                outstanding,
-                completions,
-                ..
-            } => fp::write_closed(&mut fp, spec, *outstanding, *completions),
-        }
-        fp.finish()
-    }
-}
-
-/// One cell of the grid, in grid order.
-#[derive(Clone)]
-pub struct Cell {
-    /// Position in [`GridSpec::cells`] order.
-    pub index: usize,
-    /// Array shape.
-    pub shape: Shape,
-    /// Scheduling policy; `None` means the paper default for the shape.
-    pub policy: Option<Policy>,
-    /// Index into the spec's workload list.
-    pub workload: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-/// A full experiment: the cartesian product of its axes.
-pub struct GridSpec {
-    /// Experiment name (becomes the JSON file stem).
-    pub name: String,
-    /// Array shapes (outermost axis).
-    pub shapes: Vec<Shape>,
-    /// Policies per shape; `None` = `Policy::default_for_dr`.
-    pub policies: Vec<Option<Policy>>,
-    /// Named workloads.
-    pub workloads: Vec<(String, Workload)>,
-    /// Seeds (innermost axis).
-    pub seeds: Vec<u64>,
-}
-
-impl GridSpec {
-    /// A single-policy, single-seed grid — the common figure shape.
-    pub fn new(name: impl Into<String>) -> GridSpec {
-        GridSpec {
-            name: name.into(),
-            shapes: Vec::new(),
-            policies: vec![None],
-            workloads: Vec::new(),
-            seeds: vec![42],
-        }
-    }
-
-    /// Enumerates every cell in fixed order: shape, then policy, then
-    /// workload, then seed.
-    pub fn cells(&self) -> Vec<Cell> {
-        let mut out =
-            Vec::with_capacity(self.shapes.len() * self.policies.len() * self.workloads.len());
-        let mut index = 0;
-        for &shape in &self.shapes {
-            for &policy in &self.policies {
-                for workload in 0..self.workloads.len() {
-                    for &seed in &self.seeds {
-                        out.push(Cell {
-                            index,
-                            shape,
-                            policy,
-                            workload,
-                            seed,
-                        });
-                        index += 1;
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Runs the whole grid on [`configured_threads`] workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any cell's layout is infeasible — a grid is a statement of
-    /// intent, and a shape that cannot hold the data set is a bug in the
-    /// experiment, not a runtime condition.
-    pub fn run(&self) -> GridResult {
-        self.run_with(configured_threads(), |cfg| cfg)
-    }
-
-    /// Runs with an explicit worker count and a per-cell config customizer
-    /// (write mode, cache, timing path, ...). The customizer must be
-    /// deterministic: it sees the fully-formed base config for each cell.
-    ///
-    /// Cells are memoized through the environment-configured [`RunCache`]:
-    /// a cell whose resolved config (post-customizer), workload content,
-    /// seed, and workspace code fingerprint all match a stored entry
-    /// returns the stored report without simulating. Set `MIMD_NO_CACHE=1`
-    /// to force cold runs.
-    pub fn run_with(
-        &self,
-        threads: usize,
-        customize: impl Fn(EngineConfig) -> EngineConfig + Sync,
-    ) -> GridResult {
-        self.run_cached(threads, &RunCache::from_env(), customize)
-    }
-
-    /// [`GridSpec::run_with`] against an explicit cache (tests inject
-    /// private directories and fake code fingerprints).
-    pub fn run_cached(
-        &self,
-        threads: usize,
-        cache: &RunCache,
-        customize: impl Fn(EngineConfig) -> EngineConfig + Sync,
-    ) -> GridResult {
-        let cells = self.cells();
-        // Hash each workload's content once, not once per cell: the grid
-        // re-uses one trace across every shape × policy × seed.
-        let workload_fps: Vec<u64> = self
-            .workloads
-            .iter()
-            .map(|(_, w)| w.fingerprint())
-            .collect();
-        let reports = parallel_map_with(threads, cells, |cell| {
-            let mut cfg = EngineConfig::new(cell.shape).with_seed(cell.seed);
-            if let Some(p) = cell.policy {
-                cfg = cfg.with_policy(p);
-            }
-            let cfg = customize(cfg);
-            let (name, workload) = &self.workloads[cell.workload];
-            let mut job_fp = Fp::new();
-            fp::write_config(&mut job_fp, &cfg);
-            job_fp.write_u64(workload_fps[cell.workload]);
-            let report = cache.get_or_run(job_fp.finish(), || {
-                let mut sim = ArraySim::new(cfg, workload.data_sectors()).unwrap_or_else(|e| {
-                    panic!(
-                        "grid '{}' cell {} ({} / {}): infeasible layout: {e:?}",
-                        self.name, cell.index, cell.shape, name
-                    )
-                });
-                match workload {
-                    Workload::Trace(t) => sim.run_trace(t),
-                    Workload::Arena(a) => sim.run_source(a.as_ref()),
-                    Workload::Closed {
-                        spec,
-                        outstanding,
-                        completions,
-                        ..
-                    } => sim.run_closed_loop(spec, *outstanding, *completions),
-                }
-            });
-            CellResult {
-                cell: cell.clone(),
-                workload_name: name.clone(),
-                report,
-            }
-        });
-        cache.report_summary(&self.name);
-        GridResult {
-            name: self.name.clone(),
-            cells: reports,
-        }
-    }
-}
-
-/// One cell's labels plus its run report.
-pub struct CellResult {
-    /// Which cell this was.
-    pub cell: Cell,
-    /// The workload's name from the spec.
-    pub workload_name: String,
-    /// The simulation's output.
-    pub report: RunReport,
-}
-
-/// All cell results, in grid order.
-pub struct GridResult {
-    /// The spec's name.
-    pub name: String,
-    /// Results in [`GridSpec::cells`] order.
-    pub cells: Vec<CellResult>,
-}
-
-impl GridResult {
-    /// Serializes the grid to the harness's JSON schema.
-    pub fn to_json(&mut self) -> Json {
-        let cells: Vec<Json> = self.cells.iter_mut().map(cell_json).collect();
-        Json::object([
-            ("experiment", Json::from(self.name.as_str())),
-            ("cells", Json::Arr(cells)),
-        ])
-    }
-}
-
-fn cell_json(r: &mut CellResult) -> Json {
-    let mut j = Json::object([
-        ("shape", Json::from(r.cell.shape.to_string())),
-        (
-            "policy",
-            match r.cell.policy {
-                Some(p) => Json::from(p.to_string()),
-                None => Json::from(Policy::default_for_dr(r.cell.shape.dr).to_string()),
-            },
-        ),
-        ("workload", Json::from(r.workload_name.as_str())),
-        ("seed", Json::from(r.cell.seed)),
-    ]);
-    j.push_field("metrics", report_json(&mut r.report));
-    j
-}
-
-/// The machine-readable core of a [`RunReport`].
-///
-/// The `faults` object only appears for runs driven by a non-empty
-/// `FaultPlan` (`r.faults.active`): fault-free output stays byte-identical
-/// to builds that predate the fault layer.
-pub fn report_json(r: &mut RunReport) -> Json {
-    let p95 = r.response_percentile_ms(0.95);
-    let p99 = r.response_percentile_ms(0.99);
-    let mut j = Json::object([
-        ("completed", Json::from(r.completed)),
-        ("sim_time_ms", Json::from(r.sim_time.as_millis_f64())),
-        ("mean_response_ms", Json::from(r.mean_response_ms())),
-        ("p95_response_ms", p95.map(Json::from).unwrap_or(Json::Null)),
-        ("p99_response_ms", p99.map(Json::from).unwrap_or(Json::Null)),
-        ("throughput_iops", Json::from(r.throughput_iops())),
-        ("read_mean_ms", Json::from(r.read_ms.mean())),
-        ("write_mean_ms", Json::from(r.write_ms.mean())),
-        ("phys_requests", Json::from(r.phys_requests)),
-        ("delayed_propagated", Json::from(r.delayed_propagated)),
-        ("delayed_coalesced", Json::from(r.delayed_coalesced)),
-        ("nvram_peak", Json::from(r.nvram_peak)),
-        ("failed_requests", Json::from(r.failed_requests)),
-        ("prediction_miss_rate", Json::from(r.prediction.miss_rate())),
-        ("seek_mean_ms", Json::from(r.seek_ms.mean())),
-        ("rotation_mean_ms", Json::from(r.rotation_ms.mean())),
-        ("transfer_mean_ms", Json::from(r.transfer_ms.mean())),
-        ("queue_wait_mean_ms", Json::from(r.queue_wait_ms.mean())),
-    ]);
-    if r.faults.active {
-        let f = &mut r.faults;
-        let window = |s: &mut mimd_sim::SampleSet| {
-            Json::object([
-                ("completed", Json::from(s.len() as u64)),
-                ("mean_ms", Json::from(s.mean())),
-                (
-                    "p95_ms",
-                    s.percentile(0.95).map(Json::from).unwrap_or(Json::Null),
-                ),
-                (
-                    "p99_ms",
-                    s.percentile(0.99).map(Json::from).unwrap_or(Json::Null),
-                ),
-            ])
-        };
-        let faults = Json::object([
-            ("retries", Json::from(f.retries)),
-            ("redirects", Json::from(f.redirects)),
-            ("timeouts", Json::from(f.timeouts)),
-            ("media_errors", Json::from(f.media_errors)),
-            ("unrecoverable", Json::from(f.unrecoverable)),
-            ("rebuild_chunks", Json::from(f.rebuild_chunks)),
-            ("rebuilds_completed", Json::from(f.rebuilds_completed)),
-            (
-                "rebuild_duration_ms",
-                Json::from(f.rebuild_duration.as_millis_f64()),
-            ),
-            ("healthy", window(&mut f.healthy_ms)),
-            ("degraded", window(&mut f.degraded_ms)),
-            ("rebuilding", window(&mut f.rebuilding_ms)),
-        ]);
-        j.push_field("faults", faults);
-    }
-    // Parity (RAID 4/5) counters appear only when a parity path actually
-    // ran — healthy RMWs tally here even with an empty fault plan, and
-    // non-parity output stays byte-identical to pre-parity builds.
-    let pf = &r.faults;
-    if pf.degraded_reads + pf.rmw_updates + pf.reconstruction_chunks > 0 {
-        let parity = Json::object([
-            ("degraded_reads", Json::from(pf.degraded_reads)),
-            ("rmw_updates", Json::from(pf.rmw_updates)),
-            (
-                "reconstruction_chunks",
-                Json::from(pf.reconstruction_chunks),
-            ),
-        ]);
-        j.push_field("parity", parity);
-    }
-    // The determinism witness is opt-in (MIMD_WITNESS_JSON=1): the golden
-    // md5 sums over figure JSON predate the field, so emitting it by
-    // default would change every gated byte stream. The CI witness gate
-    // sets the variable and diffs the values across thread counts.
-    if std::env::var_os("MIMD_WITNESS_JSON").is_some_and(|v| v == "1") {
-        j.push_field("witness", Json::from(format!("{:016x}", r.witness)));
-    }
-    j
-}
+//! Tests of experiment grids — a sweep of shapes × seeds (or one
+//! closed-loop cell) built as a plain [`Job`](crate::Job) list and run
+//! through [`run_jobs_on`](crate::run_jobs_on).
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use mimd_workload::SyntheticSpec;
+    use crate::{report_json, run_jobs_on, Job, RunCache};
+    use mimd_core::{EngineConfig, Policy, Shape};
+    use mimd_workload::{IometerSpec, SyntheticSpec, Trace};
 
-    fn small_grid() -> GridSpec {
-        let trace = Arc::new(SyntheticSpec::cello_base().generate(7, 200));
-        GridSpec {
-            name: "unit".into(),
-            shapes: vec![Shape::striping(2), Shape::new(1, 2, 1).unwrap()],
-            policies: vec![None],
-            workloads: vec![("cello".into(), Workload::Trace(trace))],
-            seeds: vec![42, 43],
+    /// The 2 shapes × 2 seeds grid over one trace, in sweep order.
+    fn small_grid(trace: &Trace) -> Vec<Job<'_>> {
+        let mut jobs = Vec::new();
+        for shape in [Shape::striping(2), Shape::new(1, 2, 1).unwrap()] {
+            for seed in [42, 43] {
+                jobs.push(Job::trace(EngineConfig::new(shape).with_seed(seed), trace));
+            }
         }
+        jobs
     }
 
-    #[test]
-    fn cells_enumerate_in_fixed_order() {
-        let g = small_grid();
-        let cells = g.cells();
-        assert_eq!(cells.len(), 4);
-        assert_eq!(cells[0].shape, Shape::striping(2));
-        assert_eq!(cells[0].seed, 42);
-        assert_eq!(cells[1].seed, 43);
-        assert_eq!(cells[2].shape, Shape::new(1, 2, 1).unwrap());
-        assert!(cells.iter().enumerate().all(|(i, c)| c.index == i));
+    fn grid_json(threads: usize, jobs: Vec<Job<'_>>) -> Vec<String> {
+        run_jobs_on(threads, &RunCache::disabled(), jobs)
+            .into_iter()
+            .map(|mut r| report_json(&mut r).to_json())
+            .collect()
     }
 
     #[test]
     fn parallel_grid_json_matches_serial_bytes() {
-        let g = small_grid();
-        let serial = g.run_with(1, |c| c).to_json().to_json();
+        let trace = SyntheticSpec::cello_base().generate(7, 200);
+        let serial = grid_json(1, small_grid(&trace));
+        assert_eq!(serial.len(), 4);
         for threads in [2, 4, 8] {
-            let parallel = g.run_with(threads, |c| c).to_json().to_json();
+            let parallel = grid_json(threads, small_grid(&trace));
             assert_eq!(parallel, serial, "threads = {threads}");
         }
-        assert!(serial.contains(r#""experiment":"unit""#));
-        assert!(serial.contains("mean_response_ms"));
+        assert!(serial.iter().all(|j| j.contains("mean_response_ms")));
     }
 
     #[test]
     fn closed_loop_cells_run() {
         let data = 4 * 1024 * 1024; // sectors
-        let g = GridSpec {
-            name: "closed".into(),
-            shapes: vec![Shape::striping(2)],
-            policies: vec![Some(Policy::Satf)],
-            workloads: vec![(
-                "rand-read".into(),
-                Workload::Closed {
-                    spec: IometerSpec::random_read_512(data),
-                    data_sectors: data,
-                    outstanding: 4,
-                    completions: 100,
-                },
-            )],
-            seeds: vec![1],
-        };
-        let mut out = g.run_with(2, |c| c);
-        assert_eq!(out.cells.len(), 1);
-        assert_eq!(out.cells[0].report.completed, 100);
-        let js = out.to_json().to_json();
-        assert!(js.contains(r#""policy":"SATF""#));
+        let cfg = EngineConfig::new(Shape::striping(2))
+            .with_seed(1)
+            .with_policy(Policy::Satf);
+        let jobs = vec![Job::closed(cfg, IometerSpec::random_read_512(data), 4, 100)];
+        let reports = run_jobs_on(2, &RunCache::disabled(), jobs);
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].completed, 100);
     }
 }

@@ -22,6 +22,8 @@
 
 pub mod cache;
 pub mod fp;
+#[cfg(test)]
+mod grid;
 mod job;
 mod json;
 mod pool;
