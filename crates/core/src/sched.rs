@@ -15,9 +15,6 @@
 //! the head-position-prediction machinery of §3.2 (its residual error is
 //! injected at service time, not here).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use mimd_disk::{SimDisk, Target};
 use mimd_sim::{SimDuration, SimTime};
 
@@ -88,18 +85,12 @@ impl<S: Schedulable> Schedulable for &S {
     }
 }
 
-/// Per-disk scheduler state: the elevator sweep direction plus a scratch
-/// heap the SATF scan reuses across calls (no steady-state allocation).
+/// Per-disk scheduler state: the LOOK/RLOOK elevator sweep direction.
+/// The other policies ignore it.
 #[derive(Debug, Clone, Default)]
 pub struct LookState {
     /// Whether the sweep currently moves toward higher cylinders.
     pub upward: bool,
-    /// Reusable scratch for the SATF/RSATF bound-ordered scan:
-    /// `(seek lower bound, queue index, candidate index)` entries. Filled
-    /// linearly then heapified in one `BinaryHeap::from` pass (O(n), vs
-    /// O(n log n) for element-wise pushes); the allocation shuttles
-    /// between the `Vec` and the heap without ever being dropped.
-    scan: Vec<Reverse<(u64, u32, u32)>>,
 }
 
 /// The scheduling decision: queue index and candidate (replica) index.
@@ -113,6 +104,11 @@ pub struct Pick {
 
 /// Chooses the next entry (and replica) for an idle disk, or `None` if the
 /// queue is empty.
+///
+/// This scan is the only implementation of FCFS, LOOK and RLOOK, and of
+/// SATF/RSATF on drives with read-ahead; [`crate::DriveQueue::pick`] runs
+/// it on the queue's window prefix. Elsewhere the drive queue's SATF/RSATF
+/// band index returns exactly this function's pick.
 ///
 /// # Examples
 ///
@@ -159,62 +155,27 @@ pub fn pick<S: Schedulable>(
             })
         }
         Policy::Satf | Policy::Rsatf => {
+            // First minimal `(cost, queue index, candidate)`: a strict `<`
+            // keeps the earliest of equal costs. `DriveQueue` reproduces
+            // this argmin with its band index; this loop serves drives with
+            // read-ahead and is the reference the index is tested against.
             let aware = policy.replica_aware();
-            // The seek alone lower-bounds a candidate's cost, so candidates
-            // are visited in ascending-bound order (a min-heap over the
-            // reusable scratch buffer): the first full estimates come from
-            // the most promising candidates, and the whole scan stops as
-            // soon as the next bound exceeds the incumbent's cost — no
-            // later candidate can beat it. Winner selection compares
-            // (cost, queue index, candidate index) lexicographically, which
-            // is exactly the first-minimal-in-queue-order rule of a linear
-            // scan, so the pick is identical to the exhaustive one.
-            let scratch = &mut look.scan;
-            // An earlier scan's early break may have left entries behind;
-            // clearing keeps the allocation and discards the stale contents.
-            scratch.clear();
+            let mut best: Option<(u64, Pick)> = None;
             for (i, entry) in queue.iter().enumerate() {
                 let limit = if aware { entry.candidates().len() } else { 1 };
                 let write = entry.is_write();
                 for (c, target) in entry.candidates().iter().take(limit).enumerate() {
-                    scratch.push(Reverse((
-                        disk.positioning_lower_bound_ns(target, write),
-                        i as u32,
-                        c as u32,
-                    )));
-                }
-            }
-            let mut heap = BinaryHeap::from(std::mem::take(scratch));
-            let mut best: Option<(u64, u32, u32)> = None;
-            while let Some(Reverse((bound, i, c))) = heap.pop() {
-                if let Some((bcost, bi, bc)) = best {
-                    if bound > bcost {
-                        break; // Every remaining bound is at least this one.
-                    }
-                    // bound == bcost can at most tie; only an earlier queue
-                    // position would displace the incumbent.
-                    if bound == bcost && (i, c) >= (bi, bc) {
-                        continue;
+                    let cost = candidate_cost(disk, now, target, write, slack);
+                    if best.is_none_or(|(b, _)| cost < b) {
+                        let pick = Pick {
+                            queue_index: i,
+                            candidate: c,
+                        };
+                        best = Some((cost, pick));
                     }
                 }
-                let entry = &queue[i as usize];
-                let target = &entry.candidates()[c as usize];
-                let cost = candidate_cost(disk, now, target, entry.is_write(), slack);
-                let wins = match best {
-                    None => true,
-                    Some((bcost, bi, bc)) => cost < bcost || (cost == bcost && (i, c) < (bi, bc)),
-                };
-                if wins {
-                    best = Some((cost, i, c));
-                }
             }
-            // Hand the buffer back for the next call (contents are stale
-            // and discarded by the clear() above).
-            *scratch = heap.into_vec();
-            best.map(|(_, i, c)| Pick {
-                queue_index: i as usize,
-                candidate: c as usize,
-            })
+            best.map(|(_, p)| p)
         }
         Policy::Look | Policy::Rlook => {
             let head = disk.arm_cylinder();
@@ -254,7 +215,7 @@ pub fn pick<S: Schedulable>(
 /// the slack window — within it the head-position prediction cannot be
 /// trusted and "the scheduler conservatively chooses the next rotational
 /// replica after the target" (§3.2).
-pub(crate) fn candidate_cost(
+fn candidate_cost(
     disk: &SimDisk,
     now: SimTime,
     target: &Target,
@@ -270,9 +231,9 @@ pub(crate) fn candidate_cost(
 }
 
 /// Picks the cheapest replica of one entry (or the primary when the policy
-/// is not replica-aware). First-minimal tie-break, with the same
-/// seek-lower-bound pruning as the SATF scan.
-pub(crate) fn best_candidate<S: Schedulable>(
+/// is not replica-aware). First-minimal tie-break; a replica whose seek
+/// lower bound already reaches the incumbent's cost is skipped uncosted.
+fn best_candidate<S: Schedulable>(
     disk: &SimDisk,
     now: SimTime,
     entry: &S,
@@ -493,10 +454,7 @@ mod tests {
             entry_at(3500, 0.0, 1),
             entry_at(5000, 0.0, 2),
         ];
-        let mut look = LookState {
-            upward: true,
-            ..LookState::default()
-        };
+        let mut look = LookState { upward: true };
         // Upward: nearest above 3000 is 3500.
         let p = pick(Policy::Look, &d, now, &q, &mut look, SimDuration::ZERO).unwrap();
         assert_eq!(p.queue_index, 1);
@@ -512,10 +470,7 @@ mod tests {
     fn rlook_chooses_rotationally_closest_replica_on_scan() {
         let d = disk();
         let q = vec![entry_with_replicas(0, 6)];
-        let mut look = LookState {
-            upward: true,
-            ..LookState::default()
-        };
+        let mut look = LookState { upward: true };
         let p = pick(
             Policy::Rlook,
             &d,
@@ -547,71 +502,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p_look.candidate, 0);
-    }
-
-    /// The bound-ordered heap scan must agree with a naive exhaustive
-    /// queue-order scan on every random queue — same entry AND same
-    /// replica, including first-minimal tie-breaks.
-    #[test]
-    fn satf_heap_scan_matches_exhaustive_scan() {
-        let mut d = disk();
-        let _ = d.begin(
-            SimTime::ZERO,
-            &Target {
-                cylinder: 4321,
-                surface: 0,
-                angle: 0.0,
-                sectors: 1,
-            },
-            false,
-        );
-        let now = d.busy_until();
-        let mut rng = mimd_sim::SimRng::seed_from(0xD15C);
-        for case in 0..200 {
-            let depth = 1 + (rng.below(24) as usize);
-            let dr = 1 + rng.below(4) as u32;
-            let slack = if case % 3 == 0 {
-                SimDuration::from_micros(rng.below(2_000))
-            } else {
-                SimDuration::ZERO
-            };
-            let q: Vec<Entry> = (0..depth)
-                .map(|_| Entry {
-                    candidates: (0..dr)
-                        .map(|k| Target {
-                            cylinder: rng.below(9_000) as u32,
-                            surface: k,
-                            angle: rng.unit(),
-                            sectors: 8,
-                        })
-                        .collect(),
-                    write: rng.below(4) == 0,
-                    at: SimTime::ZERO,
-                })
-                .collect();
-            for policy in [Policy::Satf, Policy::Rsatf] {
-                let aware = policy.replica_aware();
-                // Naive reference: first minimal cost in queue order.
-                let mut want: Option<(usize, usize, u64)> = None;
-                for (i, e) in q.iter().enumerate() {
-                    let limit = if aware { e.candidates.len() } else { 1 };
-                    for (c, t) in e.candidates.iter().take(limit).enumerate() {
-                        let cost = candidate_cost(&d, now, t, e.write, slack);
-                        if want.map(|(_, _, b)| cost < b).unwrap_or(true) {
-                            want = Some((i, c, cost));
-                        }
-                    }
-                }
-                let (wi, wc, _) = want.unwrap();
-                let mut look = LookState::default();
-                let got = pick(policy, &d, now, &q, &mut look, slack).unwrap();
-                assert_eq!(
-                    (got.queue_index, got.candidate),
-                    (wi, wc),
-                    "case {case}, {policy}, depth {depth}, dr {dr}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The scheduler pick path allocates nothing in steady state: once the
-//! `LookState` scratch buffer has grown to the queue's size, every later
-//! SATF, RSATF or RLOOK decision reuses it.
+//! The scheduler pick path allocates nothing in steady state: after one
+//! warm-up pick, SATF, RSATF and RLOOK decisions over a 256-entry queue
+//! make no heap allocation at all.
 //!
 //! A counting global allocator sees every allocation in the process, so
 //! this file holds exactly one test: no other test thread can allocate
@@ -94,7 +94,7 @@ fn scheduler_pick_allocates_nothing_after_warmup() {
                 SimDuration::ZERO,
             )
         };
-        // Warmup: the scratch buffer may grow to capacity here.
+        // Warmup: any lazily grown state may allocate here.
         assert!(black_box(run()).is_some());
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         for _ in 0..100 {
