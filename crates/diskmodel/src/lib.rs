@@ -8,7 +8,8 @@
 //!
 //! Layer map versus the paper's Figure 4:
 //!
-//! - *SCSI Abstraction Layer* → [`device::BlockDevice`]
+//! - *SCSI Abstraction Layer* → none: the engine calls [`disk::SimDisk`]
+//!   directly
 //! - *Calibration Layer* → [`calibration`] (head tracking, slack control)
 //!   plus [`seek::SeekProfile::fit`] (timing extraction)
 //! - *Simulator* → [`disk::SimDisk`] with its two timing fidelities
@@ -33,14 +34,12 @@
 //! ```
 
 pub mod calibration;
-pub mod device;
 pub mod disk;
 pub mod geometry;
 pub mod mechanics;
 pub mod params;
 pub mod seek;
 
-pub use device::{BlockDevice, DeviceError};
 pub use disk::{PhaseFloorRuler, PositionKnowledge, SimDisk, Target, TimingPath};
 pub use geometry::{Chs, Geometry, ZoneInfo};
 pub use mechanics::{ceil_u32, frac, mod1, round_u64, ServiceBreakdown, Spindle};
