@@ -226,3 +226,23 @@ fn a_failed_read_does_not_fill_the_memory_cache() {
     assert_eq!(r.cache_hits, 0, "a failed read made its block resident");
     assert_eq!(r.cache_misses, 2);
 }
+
+#[test]
+fn an_in_flight_duplicate_survives_its_disk_failing() {
+    // A busy array duplicates reads into every owner's queue; the copy
+    // that starts first cancels its siblings. When the disk serving that
+    // copy fails, the request must be rehomed onto a survivor rather than
+    // dropped as "already running elsewhere".
+    let mut spec = SyntheticSpec::cello_base();
+    spec.rate_per_sec *= 8.0;
+    let t = spec.generate(77, 3_000);
+    let plan = FaultPlan::new().fail_stop(0, SimTime::from_secs(30) + SimDuration::from_millis(49));
+    for shape in [
+        Shape::mirror(2),
+        Shape::mirror(3),
+        Shape::new(2, 1, 2).expect("valid"),
+    ] {
+        let r = run(EngineConfig::new(shape).with_faults(plan.clone()), &t);
+        assert_eq!(r.completed, t.len() as u64, "shape {shape}");
+    }
+}
