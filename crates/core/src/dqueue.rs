@@ -368,6 +368,7 @@ impl<S: Schedulable> DriveQueue<S> {
             lanes.clear();
         }
         self.band_bits.fill(0);
+        self.lane_count = 0;
     }
 
     /// Inserts a task at the back of the arrival order.
@@ -952,6 +953,7 @@ mod tests {
         want.sort_unstable();
         got.sort_unstable();
         assert_eq!(got, want, "band index desynced");
+        assert_eq!(dq.lane_count, got.len(), "lane count desynced");
     }
 
     /// The load-bearing equivalence property: on every randomized queue —
@@ -996,6 +998,14 @@ mod tests {
                 look_dq.upward = upward;
                 look_scan.upward = upward;
                 for step in 0..60 {
+                    if step == 30 {
+                        // A failed disk's delayed queue is cleared and then
+                        // refilled by the rebuilt disk's writes.
+                        dq.clear();
+                        mirror.clear();
+                        ids.clear();
+                        check_index(&dq, &d, &mirror, &ids);
+                    }
                     match rng.below(10) {
                         // Mostly inserts so queues get deep.
                         0..=5 => {
