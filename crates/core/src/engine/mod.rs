@@ -510,7 +510,7 @@ impl ArraySim {
         let seek = SeekProfile::fit(&cfg.disk_params).map_err(LayoutError::InvalidDiskParams)?;
         let groups = layout.groups();
         let shards: Vec<Shard> = (0..groups)
-            .map(|g| Shard::new(g, n, &layout, &cfg, &geometry, &seek, cfg.policy))
+            .map(|g| Shard::new(g, n, &layout, &cfg, &geometry, &seek))
             .collect();
         let cache = cfg.cache.as_ref().map(|c| LruCache::new(c.bytes));
         let cache_hit_time = cfg

@@ -1,6 +1,6 @@
 //! Parity-organization dispatch (RAID 4/5): the shard-side state machine
-//! for reads, small-write RMWs, full-stripe writes, degraded
-//! reconstruction reads, and spare rebuilds on XOR-parity groups.
+//! for reads, small-write RMWs, full-stripe writes and degraded
+//! reconstruction reads on XOR-parity groups.
 //!
 //! A parity operation fans a routed fragment out into *legs* — one
 //! [`TaskKind::ParityRead`] / [`TaskKind::ParityWrite`] per member disk —
@@ -10,6 +10,12 @@
 //! failure mid-operation replans the whole op against the degraded group;
 //! orphaned sibling legs find their op gone and no-op on completion.
 //!
+//! The fault paths are the mirrored ones in the parent module: a leg is
+//! built like any task, as a one-replica task with mirror index
+//! `disk − base`; a media error retries it in place under the shared
+//! retry rule; and a spare rebuild runs the mirror rebuild machine with
+//! every survivor as a source (their XOR is the lost chunk).
+//!
 //! Everything here stays on the `G` disks of one group (one shard), uses
 //! no RNG, and emits only pre-existing event kinds — which is what keeps
 //! the determinism-witness contract untouched.
@@ -17,16 +23,16 @@
 use mimd_disk::Target;
 use mimd_sim::SimTime;
 
-use crate::layout::{Fragment, Layout};
+use crate::layout::{Fragment, Layout, Replica};
 
-use super::{ColEvent, HealthKind, Note, PendingTask, Shard, TaskKind};
+use super::{PendingTask, Shard, TaskKind};
 
 /// One in-flight parity operation: the fan-out bookkeeping for a single
 /// routed fragment.
 #[derive(Debug)]
 pub(crate) struct ParityOp {
     /// Owning shard-local job (for the completion note).
-    job: u64,
+    pub(super) job: u64,
     /// The original fragment, kept for replanning after a member failure.
     frag: Fragment,
     write: bool,
@@ -49,9 +55,7 @@ impl Shard {
         write: bool,
         stripe: bool,
     ) {
-        let job = self.next_job;
-        self.next_job += 1;
-        self.jobs.insert(job, logical, 1);
+        let job = self.jobs.insert(logical, 1);
         self.plan_parity(lay, now, job, frag, write, stripe);
     }
 
@@ -201,23 +205,18 @@ impl Shard {
         target: Target,
         now: SimTime,
     ) {
-        let mut t = self.task_pool.pop().unwrap_or_else(PendingTask::shell);
-        t.job = op;
-        t.frag = frag;
-        t.write = write;
-        t.kind = if write {
+        let leg = Replica {
+            disk,
+            target,
+            replica: 0,
+            mirror: (disk - self.base) as u8,
+        };
+        let kind = if write {
             TaskKind::ParityWrite
         } else {
             TaskKind::ParityRead
         };
-        t.targets.clear();
-        t.targets.push(target);
-        t.meta.clear();
-        t.meta.push((0, (disk - self.base) as u8));
-        t.enqueued = now;
-        t.dup = None;
-        t.attempt = 0;
-        t.track = 0;
+        let t = self.make_task(op, frag, write, kind, &[leg], now);
         self.enqueue(disk, t);
         self.touched.push(disk - self.base);
     }
@@ -283,162 +282,10 @@ impl Shard {
         self.try_dispatch(now, l);
     }
 
-    /// A transient media error on a parity leg: retry in place — a parity
-    /// organization holds no alternate copy of a block — and fail the
-    /// whole operation when the attempt budget runs out. The caller's
-    /// tail `try_dispatch` restarts the disk.
-    pub(super) fn on_parity_media_error(
-        &mut self,
-        now: SimTime,
-        disk: usize,
-        mut task: PendingTask,
-    ) {
-        let budget = self
-            .faults
-            .as_ref()
-            .map_or(0, |ctx| ctx.plan.retry.max_retries);
-        if task.attempt >= budget {
-            if let Some(ctx) = self.faults.as_mut() {
-                ctx.report.unrecoverable += 1;
-            }
-            if let Some(op) = self.parity_ops.remove(&task.job) {
-                self.finish_part(now, op.job, true);
-            }
-            self.recycle(task);
-            return;
-        }
-        task.attempt += 1;
-        task.enqueued = now;
-        task.dup = None;
-        if let Some(ctx) = self.faults.as_mut() {
-            ctx.report.retries += 1;
-        }
-        self.enqueue(disk, task);
-    }
-
     /// Replans a parity operation after a member failure dropped one of
     /// its legs: progress in the current phase is discarded and the
     /// fragment is planned afresh against the degraded group.
     pub(super) fn replan_parity_op(&mut self, lay: &Layout, now: SimTime, op: ParityOp) {
         self.plan_parity(lay, now, op.job, op.frag, op.write, op.stripe);
-    }
-
-    /// Queues the next parity-rebuild chunk: one chunk read on *every*
-    /// survivor of the spare's group (their XOR is the lost content),
-    /// riding the delayed queues so foreground work keeps winning.
-    pub(super) fn parity_rebuild_issue_chunk(&mut self, lay: &Layout, now: SimTime) {
-        let Some((spare, next, total, chunk)) = self.faults.as_ref().and_then(|ctx| {
-            ctx.rebuild
-                .as_ref()
-                .filter(|r| r.copying && r.pending == 0)
-                .map(|r| (r.disk, r.next, r.total, ctx.plan.rebuild.chunk_sectors))
-        }) else {
-            return;
-        };
-        if next >= total {
-            return; // completion is accounted in `on_spare_done`
-        }
-        let survivors: Vec<usize> = (self.base..self.base + self.width)
-            .filter(|&d| d != spare && !self.is_dead(d))
-            .collect();
-        if survivors.len() != self.width - 1 {
-            // Reconstruction needs every survivor; a second dead member
-            // makes the XOR short, so abandon and leave the spare dead.
-            if let Some(ctx) = self.faults.as_mut() {
-                ctx.rebuild = None;
-            }
-            self.notes.push(Note::Health {
-                at: now,
-                kind: HealthKind::Rebuilding,
-                on: false,
-            });
-            return;
-        }
-        let Some((target, span)) = lay.rebuild_extent(next, 0, 0, chunk) else {
-            // Off the mapped data (never expected before `total`): stop.
-            if let Some(ctx) = self.faults.as_mut() {
-                if let Some(r) = ctx.rebuild.as_mut() {
-                    r.next = r.total;
-                }
-            }
-            return;
-        };
-        for &src in &survivors {
-            let mut t = self.task_pool.pop().unwrap_or_else(PendingTask::shell);
-            t.job = u64::MAX;
-            t.frag = Fragment {
-                lbn: u64::MAX,
-                sectors: span,
-            };
-            t.write = false;
-            t.kind = TaskKind::Rebuild;
-            t.targets.clear();
-            t.targets.push(target);
-            t.meta.clear();
-            t.meta.push((0, 0));
-            t.enqueued = now;
-            t.dup = None;
-            t.attempt = 0;
-            t.track = 0;
-            let src_l = src - self.base;
-            self.delayed[src_l].insert(&self.disks[src_l], t);
-        }
-        if let Some(ctx) = self.faults.as_mut() {
-            if let Some(r) = ctx.rebuild.as_mut() {
-                r.source = usize::MAX;
-                r.pending = u64::from(span);
-                r.writing = false;
-                r.reads_left = survivors.len() as u32;
-            }
-        }
-        for &src in &survivors {
-            self.try_dispatch(now, src - self.base);
-        }
-    }
-
-    /// One survivor finished its rebuild chunk read. When the last one
-    /// reports, the XOR-reconstructed chunk is written onto the spare.
-    pub(super) fn on_parity_rebuild_read_done(
-        &mut self,
-        lay: &Layout,
-        now: SimTime,
-        source: usize,
-        task: PendingTask,
-    ) {
-        self.recycle(task);
-        let state = self
-            .faults
-            .as_mut()
-            .and_then(|ctx| ctx.rebuild.as_mut())
-            .filter(|r| r.copying && r.pending > 0 && !r.writing && r.reads_left > 0)
-            .map(|r| {
-                r.reads_left -= 1;
-                (r.disk, r.next, r.reads_left)
-            });
-        let Some((spare, next, left)) = state else {
-            // The rebuild moved on (e.g. was abandoned); drop the stale
-            // read and let the source disk continue.
-            self.try_dispatch(now, source - self.base);
-            return;
-        };
-        if left == 0 {
-            let chunk = self
-                .faults
-                .as_ref()
-                .map_or(0, |ctx| ctx.plan.rebuild.chunk_sectors);
-            if let Some((target, _)) = lay.rebuild_extent(next, 0, 0, chunk) {
-                let spare_l = spare - self.base;
-                let b = self.disks[spare_l].begin(now, &target, true);
-                if let Some(ctx) = self.faults.as_mut() {
-                    if let Some(r) = ctx.rebuild.as_mut() {
-                        r.writing = true;
-                    }
-                }
-                self.report.phys_requests += 1;
-                self.events
-                    .push(now + b.total(), ColEvent::SpareDone(spare));
-            }
-        }
-        self.try_dispatch(now, source - self.base);
     }
 }

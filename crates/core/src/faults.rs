@@ -323,16 +323,18 @@ pub(crate) struct RebuildState {
     pub(crate) total: u64,
     /// Sectors covered by the chunk currently in flight.
     pub(crate) pending: u64,
-    /// Surviving mirror currently serving as the copy source.
+    /// The in-flight chunk's first source: the one surviving mirror it is
+    /// copied from, or the lowest of a parity group's survivors. A mirror
+    /// reissues the chunk when this disk dies before its read completes.
     pub(crate) source: usize,
     /// Whether copying has begun (false while waiting for the spare).
     pub(crate) copying: bool,
     /// Whether the in-flight chunk is past its source read and writing to
     /// the spare (a source failure no longer invalidates it).
     pub(crate) writing: bool,
-    /// Parity rebuild only: survivor chunk reads still outstanding. A
-    /// mirror chunk has one source read; a parity chunk XORs all `G−1`
-    /// survivors, so the spare write waits for this to reach zero.
+    /// Source reads of the in-flight chunk still outstanding: one for a
+    /// mirror copy, `G−1` for a parity chunk (the XOR of every survivor).
+    /// The spare write starts when this reaches zero.
     pub(crate) reads_left: u32,
 }
 
