@@ -249,12 +249,14 @@ impl Scope {
             panic: rel.starts_with("crates/core/src/engine/") || in_src_of("diskmodel"),
             parallelism: sim_crate,
             cache_hygiene: in_src_of("bench") || in_src_of("harness"),
-            // The fault layer plus the parity modules: degraded reads,
-            // RMW planning, and reconstruction must draw no RNG of their
-            // own — all fault randomness comes from the one named stream
-            // in faults.rs.
+            // The fault layer, the parity modules and the shard that runs
+            // retries and the rebuild machine for both organizations:
+            // degraded reads, RMW planning, retries and reconstruction
+            // must draw no RNG of their own — all fault randomness comes
+            // from the one named stream in faults.rs.
             fault_determinism: rel == "crates/core/src/faults.rs"
                 || rel == "crates/core/src/layout/parity.rs"
+                || rel == "crates/core/src/engine/shard.rs"
                 || rel == "crates/core/src/engine/shard/parity.rs",
             shared_mutability: sim_crate,
             float_order: sim_crate,
@@ -510,6 +512,9 @@ mod tests {
         // The parity modules carry the same no-local-RNG obligation.
         assert!(Scope::for_path("crates/core/src/layout/parity.rs").fault_determinism);
         assert!(Scope::for_path("crates/core/src/engine/shard/parity.rs").fault_determinism);
+        // So does the shard, which runs reconstruction for both
+        // organizations.
+        assert!(Scope::for_path("crates/core/src/engine/shard.rs").fault_determinism);
         assert!(Scope::for_path("crates/diskmodel/src/geometry.rs").libm_round);
         assert!(Scope::for_path("crates/core/src/layout/mod.rs").libm_round);
         assert!(!Scope::for_path("crates/diskmodel/src/calibration.rs").libm_round);
