@@ -1,6 +1,7 @@
 //! The scheduler pick path allocates nothing in steady state: after one
-//! warm-up pick, SATF, RSATF and RLOOK decisions over a 256-entry queue
-//! make no heap allocation at all.
+//! warm-up pick, no decision over a 256-entry queue makes a heap
+//! allocation, whether it runs the scan directly or through the engine's
+//! entry point, `DriveQueue::pick`, under any of the five policies.
 //!
 //! A counting global allocator sees every allocation in the process, so
 //! this file holds exactly one test: no other test thread can allocate
@@ -11,6 +12,7 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mimd_core::sched::{pick, LookState, Policy, Schedulable};
+use mimd_core::DriveQueue;
 use mimd_disk::{DiskParams, PositionKnowledge, SimDisk, Target, TimingPath};
 use mimd_sim::{SimDuration, SimRng, SimTime};
 
@@ -71,6 +73,17 @@ fn make_queue(n: usize, dr: u32, rng: &mut SimRng) -> Vec<Entry> {
         .collect()
 }
 
+/// Allocations made by 100 calls of `run` after one warm-up call (which
+/// may grow lazily sized state).
+fn steady_state_allocations<T>(mut run: impl FnMut() -> Option<T>) -> u64 {
+    assert!(black_box(run()).is_some());
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..100 {
+        black_box(run());
+    }
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
 #[test]
 fn scheduler_pick_allocates_nothing_after_warmup() {
     let disk = SimDisk::new(
@@ -82,28 +95,71 @@ fn scheduler_pick_allocates_nothing_after_warmup() {
     .expect("valid params");
     let mut rng = SimRng::seed_from(7);
     let queue = make_queue(256, 3, &mut rng);
+    let now = SimTime::from_millis(5);
     for policy in [Policy::Satf, Policy::Rsatf, Policy::Rlook] {
         let mut look = LookState::default();
-        let mut run = || {
+        let grew = steady_state_allocations(|| {
             pick(
                 policy,
                 &disk,
-                black_box(SimTime::from_millis(5)),
+                black_box(now),
                 &queue,
                 &mut look,
                 SimDuration::ZERO,
             )
-        };
-        // Warmup: any lazily grown state may allocate here.
-        assert!(black_box(run()).is_some());
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        for _ in 0..100 {
-            black_box(run());
-        }
-        let grew = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        });
         assert_eq!(
             grew, 0,
             "{policy} pick over 256 entries: {grew} allocations in steady state"
         );
     }
+
+    // The engine's entry point: a drive queue holding the same entries.
+    let policies = [
+        Policy::Fcfs,
+        Policy::Look,
+        Policy::Satf,
+        Policy::Rlook,
+        Policy::Rsatf,
+    ];
+    for policy in policies {
+        let mut dq = DriveQueue::new(policy);
+        for e in make_queue(256, 3, &mut rng) {
+            dq.insert(&disk, e);
+        }
+        let mut look = LookState::default();
+        let grew = steady_state_allocations(|| {
+            dq.pick(&disk, black_box(now), &mut look, SimDuration::ZERO, 128)
+        });
+        assert_eq!(
+            grew, 0,
+            "{policy} DriveQueue::pick over 256 entries: {grew} allocations in steady state"
+        );
+    }
+
+    // RSATF on a read-ahead drive whose buffered track holds candidates.
+    let mut ra = disk.clone();
+    ra.set_read_ahead(true);
+    let warm = Target {
+        cylinder: 1_234,
+        surface: 1,
+        angle: 0.3,
+        sectors: 8,
+    };
+    let _ = ra.begin(SimTime::ZERO, &warm, false);
+    let mut dq = DriveQueue::new(Policy::Rsatf);
+    for (i, mut e) in make_queue(256, 3, &mut rng).into_iter().enumerate() {
+        if i % 8 == 0 {
+            e.targets[1] = warm;
+        }
+        dq.insert(&ra, e);
+    }
+    let mut look = LookState::default();
+    let at = ra.busy_until();
+    let grew =
+        steady_state_allocations(|| dq.pick(&ra, black_box(at), &mut look, SimDuration::ZERO, 128));
+    assert_eq!(
+        grew, 0,
+        "read-ahead RSATF DriveQueue::pick: {grew} allocations in steady state"
+    );
 }
