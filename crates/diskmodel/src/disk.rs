@@ -122,14 +122,9 @@ pub struct SimDisk {
     read_ahead: bool,
     /// The `(cylinder, surface)` whose contents sit in the track buffer.
     buffered_track: Option<(u32, u32)>,
-    /// Spindle phase offset in revolutions; non-zero models unsynchronised
-    /// spindles across an array (§2.5).
+    /// Spindle phase offset in revolutions, fixed at construction;
+    /// non-zero models unsynchronised spindles across an array (§2.5).
     phase_offset: f64,
-    /// Bumped on every [`SimDisk::set_phase_offset`]. External caches of
-    /// phase-derived values (the drive queue's [`SimDisk::sched_phase`]
-    /// memo) stamp this and treat a mismatch as a miss, so a stale phase
-    /// can never survive a spindle-phase change.
-    phase_epoch: u32,
     busy_until: SimTime,
     rng: SimRng,
     rotation_misses: u64,
@@ -141,8 +136,8 @@ pub struct SimDisk {
 }
 
 impl SimDisk {
-    /// Builds a drive from parameters; fails if the parameters are invalid
-    /// or the seek curve cannot be fitted.
+    /// Builds a drive from parameters, with spindle phase offset 0; fails
+    /// if the parameters are invalid or the seek curve cannot be fitted.
     pub fn new(
         params: &DiskParams,
         path: TimingPath,
@@ -152,7 +147,7 @@ impl SimDisk {
         let seek = SeekProfile::fit(params)?;
         let geometry = Geometry::new(params);
         Ok(Self::with_parts(
-            params, geometry, seek, path, knowledge, seed,
+            params, geometry, seek, path, knowledge, seed, 0.0,
         ))
     }
 
@@ -162,6 +157,13 @@ impl SimDisk {
     /// lookup tables are `Arc`-shared, and the expensive numeric fit runs a
     /// single time instead of once per spindle. `geometry` and `seek` must
     /// have been derived from this same `params`.
+    ///
+    /// `phase_offset` is the spindle's phase in revolutions. All
+    /// [`SimDisk`]s share the simulation clock, which makes their spindles
+    /// implicitly synchronised; give each a random offset to model the
+    /// unsynchronised spindles of commodity arrays (§2.5). The offset never
+    /// changes afterwards, so phases derived from it
+    /// ([`SimDisk::sched_phase`]) may be memoised for the disk's lifetime.
     pub fn with_parts(
         params: &DiskParams,
         geometry: Geometry,
@@ -169,6 +171,7 @@ impl SimDisk {
         path: TimingPath,
         knowledge: PositionKnowledge,
         seed: u64,
+        phase_offset: f64,
     ) -> Self {
         let rotation = params.rotation_time();
         let rotation_ns = rotation.as_nanos();
@@ -190,8 +193,7 @@ impl SimDisk {
             arm_surface: 0,
             read_ahead: false,
             buffered_track: None,
-            phase_offset: 0.0,
-            phase_epoch: 0,
+            phase_offset: mod1(phase_offset),
             busy_until: SimTime::ZERO,
             rng: SimRng::named(seed, "disk-head"),
             rotation_misses: 0,
@@ -215,11 +217,6 @@ impl SimDisk {
     /// The drive's geometry.
     pub fn geometry(&self) -> &Geometry {
         &self.geometry
-    }
-
-    /// The fitted seek profile.
-    pub fn seek_profile(&self) -> &SeekProfile {
-        &self.seek
     }
 
     /// Full rotation time.
@@ -262,9 +259,8 @@ impl SimDisk {
     /// the by-distance form of [`SimDisk::positioning_lower_bound_ns`], for
     /// index structures that bound whole cylinder bands at once. Monotone in
     /// `distance` (the seek curve is), which is what lets a band index visit
-    /// bands in ascending-bound order. Not valid for potential track-buffer
-    /// hits (their positioning bound is 0 regardless of distance) — callers
-    /// must check [`SimDisk::read_ahead_enabled`] first.
+    /// bands in ascending-bound order. A track-buffer hit (positioning 0)
+    /// always lies at distance 0, where the bound is 0 too.
     #[inline]
     pub fn seek_bound_ns(&self, distance: u32) -> u64 {
         if distance == 0 {
@@ -272,11 +268,6 @@ impl SimDisk {
         } else {
             self.seek.seek_ns(distance)
         }
-    }
-
-    /// Whether the track read-ahead buffer is enabled.
-    pub fn read_ahead_enabled(&self) -> bool {
-        self.read_ahead
     }
 
     /// Current arm cylinder.
@@ -306,23 +297,6 @@ impl SimDisk {
         if !enabled {
             self.buffered_track = None;
         }
-    }
-
-    /// Sets this spindle's phase offset in revolutions.
-    ///
-    /// All [`SimDisk`]s share the simulation clock, which makes their
-    /// spindles implicitly synchronised; give each a random offset to model
-    /// the unsynchronised spindles of commodity arrays (§2.5).
-    pub fn set_phase_offset(&mut self, offset: f64) {
-        self.phase_offset = mod1(offset);
-        self.phase_epoch = self.phase_epoch.wrapping_add(1);
-    }
-
-    /// Generation counter for phase-derived memos: changes whenever
-    /// [`SimDisk::set_phase_offset`] does. Stamp it next to any cached
-    /// [`SimDisk::sched_phase`] value and re-derive on mismatch.
-    pub fn phase_epoch(&self) -> u32 {
-        self.phase_epoch
     }
 
     /// Platter phase at instant `t` (including this disk's phase offset).
@@ -459,30 +433,29 @@ impl SimDisk {
     /// `estimate(start, target, write)`'s `positioning()` and `rotation`.
     #[inline]
     pub fn sched_cost_ns(&self, start: SimTime, target: &Target, write: bool) -> (u64, u64) {
-        self.sched_cost_at_phase_ns(start, target, write, self.sched_phase(target))
+        if !write
+            && self.read_ahead
+            && self.buffered_track == Some((target.cylinder, target.surface))
+        {
+            return (0, 0); // Track-buffer hit: no positioning at all.
+        }
+        let seek = self.positioning_time(target, write);
+        let arrive = start + self.overhead + seek;
+        let rotation = self
+            .spindle
+            .wait_until_angle(arrive, self.sched_phase(target));
+        ((seek + rotation).as_nanos(), rotation.as_nanos())
     }
 
     /// The effective spindle phase at which `target`'s first sector passes
     /// under the head: the quantised track angle with this disk's phase
-    /// offset folded in. Never depends on the clock or the arm, so index
-    /// structures may compute it once per queued candidate and reuse it
-    /// across picks — but it *does* fold in the mutable phase offset, so
-    /// any such memo must stamp [`SimDisk::phase_epoch`] and re-derive
-    /// when the epoch has moved.
+    /// offset folded in. It depends only on the target, the geometry and
+    /// the offset fixed at construction, never on the clock or the arm, so
+    /// index structures may compute it once per queued candidate and reuse
+    /// it across picks for as long as the disk lives.
     #[inline]
     pub fn sched_phase(&self, target: &Target) -> f64 {
-        self.target_phase(self.sched_base_angle(target))
-    }
-
-    /// The quantised, pre-offset track angle [`SimDisk::sched_phase`]
-    /// starts from: a pure function of the target and the (immutable)
-    /// geometry, so index structures may store it once per queued candidate
-    /// and re-derive the effective phase after any spindle-phase change via
-    /// [`SimDisk::phase_of_angle`] — no re-quantisation needed.
-    /// `sched_phase(t) == phase_of_angle(sched_base_angle(t))`, bit for bit.
-    #[inline]
-    pub fn sched_base_angle(&self, target: &Target) -> f64 {
-        if self.path == TimingPath::Detailed {
+        let angle = if self.path == TimingPath::Detailed {
             match self
                 .geometry
                 .quantise_angle(target.cylinder, target.surface, target.angle)
@@ -492,46 +465,38 @@ impl SimDisk {
             }
         } else {
             mod1(target.angle)
-        }
+        };
+        self.target_phase(angle)
     }
 
-    /// Folds the current spindle-phase offset into a pre-offset base angle
-    /// (from [`SimDisk::sched_base_angle`]): the repair half of an
-    /// epoch-stamped phase memo. Valid for the current
-    /// [`SimDisk::phase_epoch`] only.
-    #[inline]
-    pub fn phase_of_angle(&self, base_angle: f64) -> f64 {
-        self.target_phase(base_angle)
-    }
-
-    /// Batched [`SimDisk::sched_cost_at_phase_ns`] over struct-of-arrays
-    /// candidate lanes: cylinder distance from the current arm position,
-    /// target surface, write flag (0/1), and memoised effective phase
-    /// (from [`SimDisk::sched_phase`], epoch-repaired by the caller).
-    /// Writes the `(positioning, rotation)` nanosecond pair into
-    /// `pos_out`/`rot_out`.
+    /// Batched [`SimDisk::sched_cost_ns`] over struct-of-arrays candidate
+    /// lanes: cylinder distance from the current arm position, target
+    /// surface, write flag (0/1), and memoised effective phase (from
+    /// [`SimDisk::sched_phase`]). Writes the `(positioning, rotation)`
+    /// nanosecond pair into `pos_out`/`rot_out`.
     ///
     /// Every lane is bit-identical to the scalar call: the seek comes from
-    /// the same LUTs (gathered flat via [`SeekProfile::seek_ns_batch`] on
-    /// the all-read fast path), the arrival fold uses the same saturating
-    /// adds, and the rotation wait reduces the phase delta with the same
-    /// arithmetic `mod1` (two selects — the delta of two `[0, 1)` phases
-    /// always lies in `(-1, 1)`) before the same [`round_u64`]. The loop
-    /// body is select-based and makes no call: the rounding is a
-    /// truncating conversion, and only its cold out-of-range fallback
-    /// calls libm. It does not auto-vectorize: the reduction's correction
-    /// loop and the 128-bit multiply keep it scalar.
+    /// the same LUTs (`seek_write_ns` or `seek_ns`, selected per lane), the
+    /// arrival fold uses the same saturating adds, and the rotation wait
+    /// reduces the phase delta with the same arithmetic `mod1` (two
+    /// selects — the delta of two `[0, 1)` phases always lies in `(-1, 1)`)
+    /// before the same [`round_u64`]. The loop body is select-based and
+    /// makes no call: the rounding is a truncating conversion, and only its
+    /// cold out-of-range fallback calls libm. It does not auto-vectorize:
+    /// the reduction's correction loop and the 128-bit multiply keep it
+    /// scalar.
     ///
-    /// Track read-ahead is *hoisted out*, not handled per lane: a potential
-    /// buffer hit costs `(0, 0)` regardless of distance, so callers on the
-    /// batched path must check [`SimDisk::read_ahead_enabled`] first and
-    /// fall back to the scalar scan (exactly as the band index already does
-    /// for its bound-monotonicity).
+    /// Track read-ahead is exact too. [`SimDisk::begin`] moves the arm and
+    /// fills the buffer from the same target, and writes and
+    /// [`SimDisk::set_read_ahead`]`(false)` empty it, so the buffered track
+    /// always lies under the arm. A hit is therefore a read lane at
+    /// distance 0 on the buffered surface; one pass after the main loop
+    /// zeroes those lanes, as the scalar call does.
     ///
     /// # Panics
     ///
-    /// Panics if the lanes differ in length; debug-asserts that read-ahead
-    /// is disabled.
+    /// Panics if the lanes differ in length; debug-asserts that the
+    /// buffered track is on the arm's cylinder.
     #[allow(clippy::too_many_arguments)] // flat SoA lanes are the point of the batch API
     pub fn sched_cost_batch(
         &self,
@@ -552,10 +517,6 @@ impl SimDisk {
                 && rot_out.len() == n,
             "sched_cost_batch lane length mismatch"
         );
-        debug_assert!(
-            !self.read_ahead,
-            "batched costing requires read-ahead hoisted out (use the scalar path)"
-        );
         // Hoisted per-pick scalars: everything the scalar path re-derives
         // per candidate.
         let base_ns = (start + self.overhead).as_nanos();
@@ -573,16 +534,12 @@ impl SimDisk {
         let recip = self.rot_recip;
 
         // Pass 1: the seek lane, into `pos_out`.
-        if write.iter().all(|&w| w == 0) {
-            self.seek.seek_ns_batch(dist, pos_out);
-        } else {
-            for i in 0..n {
-                pos_out[i] = if write[i] != 0 {
-                    self.seek.seek_write_ns(dist[i])
-                } else {
-                    self.seek.seek_ns(dist[i])
-                };
-            }
+        for i in 0..n {
+            pos_out[i] = if write[i] != 0 {
+                self.seek.seek_write_ns(dist[i])
+            } else {
+                self.seek.seek_ns(dist[i])
+            };
         }
 
         // Pass 2: zero-distance repositioning fix-up, rotation wait, and
@@ -610,6 +567,20 @@ impl SimDisk {
             pos_out[i] = seek.saturating_add(rot);
             rot_out[i] = rot;
         }
+
+        // Pass 3: track-buffer hits cost nothing.
+        if let (true, Some((cylinder, buffered))) = (self.read_ahead, self.buffered_track) {
+            debug_assert_eq!(
+                cylinder, self.arm_cylinder,
+                "the buffered track lies under the arm"
+            );
+            for i in 0..n {
+                if dist[i] == 0 && surface[i] == buffered && write[i] == 0 {
+                    pos_out[i] = 0;
+                    rot_out[i] = 0;
+                }
+            }
+        }
     }
 
     /// The largest cylinder distance whose read seek fits in `budget_ns`:
@@ -619,30 +590,6 @@ impl SimDisk {
     #[inline]
     pub fn max_seek_dist_within_ns(&self, budget_ns: u64) -> u32 {
         self.seek.max_dist_within_ns(budget_ns)
-    }
-
-    /// [`SimDisk::sched_cost_ns`] with the effective phase supplied by the
-    /// caller (from [`SimDisk::sched_phase`]), skipping the per-call angle
-    /// quantisation. `sched_cost_ns(s, t, w)` is defined as
-    /// `sched_cost_at_phase_ns(s, t, w, sched_phase(t))`.
-    #[inline]
-    pub fn sched_cost_at_phase_ns(
-        &self,
-        start: SimTime,
-        target: &Target,
-        write: bool,
-        phase: f64,
-    ) -> (u64, u64) {
-        if !write
-            && self.read_ahead
-            && self.buffered_track == Some((target.cylinder, target.surface))
-        {
-            return (0, 0); // Track-buffer hit: no positioning at all.
-        }
-        let seek = self.positioning_time(target, write);
-        let arrive = start + self.overhead + seek;
-        let rotation = self.spindle.wait_until_angle(arrive, phase);
-        ((seek + rotation).as_nanos(), rotation.as_nanos())
     }
 
     /// Raw spindle phase at the earliest arrival a candidate with seek
@@ -855,13 +802,21 @@ mod tests {
     use super::*;
 
     fn disk(path: TimingPath) -> SimDisk {
-        SimDisk::new(
-            &DiskParams::st39133lwv(),
+        disk_at_phase(path, 0.0)
+    }
+
+    /// A drive whose spindle runs `offset` revolutions out of phase.
+    fn disk_at_phase(path: TimingPath, offset: f64) -> SimDisk {
+        let p = DiskParams::st39133lwv();
+        SimDisk::with_parts(
+            &p,
+            Geometry::new(&p),
+            SeekProfile::fit(&p).unwrap(),
             path,
             PositionKnowledge::Perfect,
             42,
+            offset,
         )
-        .unwrap()
     }
 
     #[test]
@@ -884,8 +839,7 @@ mod tests {
     #[test]
     fn sched_cost_matches_estimate_exactly() {
         for path in [TimingPath::Detailed, TimingPath::Analytic] {
-            let mut d = disk(path);
-            d.set_phase_offset(0.37);
+            let d = disk_at_phase(path, 0.37);
             for i in 0..500u64 {
                 let t = Target {
                     cylinder: ((i * 131) % 9_000) as u32,
@@ -936,8 +890,7 @@ mod tests {
     #[test]
     fn sched_cost_batch_matches_scalar_randomized() {
         for path in [TimingPath::Detailed, TimingPath::Analytic] {
-            let mut d = disk(path);
-            d.set_phase_offset(0.37);
+            let mut d = disk_at_phase(path, 0.37);
             let cyls = d.geometry().total_cylinders();
             let surfaces = d.geometry().surfaces();
             let mut x = 1234u64;
@@ -954,13 +907,30 @@ mod tests {
                 let _ = d.begin(SimTime::from_millis(round), &park, false);
                 let now = d.busy_until();
                 let arm = d.arm_cylinder();
-                let n = 257usize; // off any chunking boundary
                 let mut dist = Vec::new();
                 let mut surface = Vec::new();
                 let mut write = Vec::new();
                 let mut phase = Vec::new();
                 let mut targets = Vec::new();
-                for i in 0..n {
+                // Edge distances first: 0, 1, the largest tabulated seek
+                // distance, and one past the table (the analytic fallback),
+                // each as a read and as a write.
+                for d_edge in [0, 1, cyls - 1, cyls] {
+                    for w in [false, true] {
+                        let t = Target {
+                            cylinder: arm + d_edge,
+                            surface: d.arm_surface(),
+                            angle: (mix(&mut x) % 10_000) as f64 / 10_000.0,
+                            sectors: 8,
+                        };
+                        dist.push(d_edge);
+                        surface.push(t.surface);
+                        write.push(u8::from(w));
+                        phase.push(d.sched_phase(&t));
+                        targets.push((t, w));
+                    }
+                }
+                for i in 0..257 {
                     let t = Target {
                         // Mix in exact-arm lanes so dist == 0 occurs.
                         cylinder: if i % 17 == 0 {
@@ -983,11 +953,12 @@ mod tests {
                     phase.push(d.sched_phase(&t));
                     targets.push((t, w));
                 }
+                let n = targets.len();
                 let mut pos = vec![0u64; n];
                 let mut rot = vec![0u64; n];
                 d.sched_cost_batch(now, &dist, &surface, &write, &phase, &mut pos, &mut rot);
                 for (i, (t, w)) in targets.iter().enumerate() {
-                    let (sp, sr) = d.sched_cost_at_phase_ns(now, t, *w, phase[i]);
+                    let (sp, sr) = d.sched_cost_ns(now, t, *w);
                     assert_eq!(
                         (pos[i], rot[i]),
                         (sp, sr),
@@ -1044,22 +1015,20 @@ mod tests {
         d.sched_cost_batch(now, &dist, &surface, &writes, &phase, &mut wpos, &mut wrot);
         d.sched_cost_batch(now, &dist, &surface, &reads, &phase, &mut rpos, &mut rrot);
         for (i, t) in targets.iter().enumerate() {
-            let (sp, sr) = d.sched_cost_at_phase_ns(now, t, true, phase[i]);
+            let (sp, sr) = d.sched_cost_ns(now, t, true);
             assert_eq!((wpos[i], wrot[i]), (sp, sr), "write lane {i}");
-            let (sp, sr) = d.sched_cost_at_phase_ns(now, t, false, phase[i]);
+            let (sp, sr) = d.sched_cost_ns(now, t, false);
             assert_eq!((rpos[i], rrot[i]), (sp, sr), "read lane {i}");
         }
     }
 
     #[test]
     fn sched_cost_batch_matches_scalar_across_read_ahead_boundary() {
-        // The batch kernel hoists track read-ahead out entirely, so it is
-        // only defined for read-ahead-off disks. Pin the boundary from both
-        // sides: with the buffer on, the *scalar* path serves exactly the
-        // buffered (cylinder, surface) for free and charges full
-        // positioning one track over; with the buffer off again, the batch
-        // kernel matches the scalar path even though `buffered_track` still
-        // points at the last track read.
+        // With the buffer on, the kernel serves exactly the buffered
+        // (cylinder, surface) read for free and charges full positioning
+        // for a write to that track and for reads one surface or one
+        // cylinder over. With the buffer off again, it still matches the
+        // scalar call lane for lane.
         let mut d = disk(TimingPath::Detailed);
         d.set_read_ahead(true);
         let t = Target {
@@ -1070,30 +1039,53 @@ mod tests {
         };
         let _ = d.begin(SimTime::ZERO, &t, false);
         let now = d.busy_until();
-        let hit = d.sched_cost_at_phase_ns(now, &t, false, d.sched_phase(&t));
-        assert_eq!(hit, (0, 0), "buffered track is free");
         let next_surface = Target { surface: 3, ..t };
         let next_cyl = Target { cylinder: 501, ..t };
-        for miss in [&next_surface, &next_cyl] {
-            let (pos, _) = d.sched_cost_at_phase_ns(now, miss, false, d.sched_phase(miss));
-            assert!(pos > 0, "adjacent track must pay positioning");
+        let probes = [
+            (t, false),
+            (t, true),
+            (next_surface, false),
+            (next_cyl, false),
+        ];
+        let kernel = |d: &SimDisk| {
+            let dist: Vec<u32> = probes
+                .iter()
+                .map(|(p, _)| d.arm_cylinder().abs_diff(p.cylinder))
+                .collect();
+            let surface: Vec<u32> = probes.iter().map(|(p, _)| p.surface).collect();
+            let write: Vec<u8> = probes.iter().map(|&(_, w)| u8::from(w)).collect();
+            let phase: Vec<f64> = probes.iter().map(|(p, _)| d.sched_phase(p)).collect();
+            let (mut pos, mut rot) = (vec![0u64; probes.len()], vec![0u64; probes.len()]);
+            d.sched_cost_batch(now, &dist, &surface, &write, &phase, &mut pos, &mut rot);
+            pos.into_iter().zip(rot).collect::<Vec<_>>()
+        };
+        let on = kernel(&d);
+        assert_eq!(on[0], (0, 0), "buffered track is free");
+        for (lane, &(pos, _)) in on.iter().enumerate().skip(1) {
+            assert!(pos > 0, "lane {lane} must pay positioning");
+        }
+        for (lane, (p, w)) in probes.iter().enumerate() {
+            assert_eq!(
+                on[lane],
+                d.sched_cost_ns(now, p, *w),
+                "buffer on, lane {lane}"
+            );
         }
         d.set_read_ahead(false);
-        for probe in [&t, &next_surface, &next_cyl] {
-            let ph = d.sched_phase(probe);
-            let dist = [d.arm_cylinder().abs_diff(probe.cylinder)];
-            let surf = [probe.surface];
-            let (mut pos, mut rot) = ([0u64; 1], [0u64; 1]);
-            d.sched_cost_batch(now, &dist, &surf, &[0], &[ph], &mut pos, &mut rot);
-            let scalar = d.sched_cost_at_phase_ns(now, probe, false, ph);
-            assert_eq!((pos[0], rot[0]), scalar);
+        let off = kernel(&d);
+        assert!(off[0].0 > 0, "no buffer, no free read");
+        for (lane, (p, w)) in probes.iter().enumerate() {
+            assert_eq!(
+                off[lane],
+                d.sched_cost_ns(now, p, *w),
+                "buffer off, lane {lane}"
+            );
         }
     }
 
     #[test]
     fn phase_floor_ruler_is_bit_identical_to_arrival_phase_floor() {
-        let mut d = disk(TimingPath::Detailed);
-        d.set_phase_offset(0.61);
+        let d = disk_at_phase(TimingPath::Detailed, 0.61);
         let mut x = 5u64;
         for _ in 0..5_000 {
             let now = SimTime::from_nanos(mix(&mut x) % 400_000_000_000);

@@ -268,30 +268,6 @@ impl SeekProfile {
         }
     }
 
-    /// Batched [`SeekProfile::seek_ns`]: one flat pass of LUT gathers over a
-    /// lane of cylinder distances. Each output is bit-identical to the
-    /// scalar call; the in-domain body is branch-free (the bounds check
-    /// compiles to a select) and the analytic fallback only runs for
-    /// distances past the drive's last cylinder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lanes differ in length.
-    pub fn seek_ns_batch(&self, distances: &[u32], out: &mut [u64]) {
-        assert_eq!(
-            distances.len(),
-            out.len(),
-            "seek_ns_batch lane length mismatch"
-        );
-        let lut = &self.lut_ns[..];
-        for (o, &d) in out.iter_mut().zip(distances) {
-            *o = match lut.get(d as usize) {
-                Some(&ns) => ns,
-                None => self.seek(d).as_nanos(),
-            };
-        }
-    }
-
     /// The largest cylinder distance whose read-seek time fits in
     /// `budget_ns` — the inverse of the (weakly monotone) seek curve,
     /// answered by one binary search over the tabulated LUT. Distance 0
@@ -381,28 +357,6 @@ mod tests {
         let (_, s) = fitted();
         assert_eq!(s.seek(0), SimDuration::ZERO);
         assert_eq!(s.seek_write(0), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn seek_ns_batch_matches_scalar_at_edges_and_randomized() {
-        let (p, s) = fitted();
-        let total = p.total_cylinders();
-        // Edge distances around both LUT boundaries (0 and the last
-        // tabulated cylinder), plus a pseudo-random sweep of the interior
-        // and a few past-the-end distances that hit the analytic fallback.
-        let mut dists: Vec<u32> = vec![0, 1, 2, total - 2, total - 1, total, total + 7];
-        let mut x = 9u64;
-        for _ in 0..4_000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            dists.push((x >> 33) as u32 % (total + 32));
-        }
-        let mut out = vec![0u64; dists.len()];
-        s.seek_ns_batch(&dists, &mut out);
-        for (&d, &got) in dists.iter().zip(&out) {
-            assert_eq!(got, s.seek_ns(d), "distance {d}");
-        }
     }
 
     #[test]

@@ -197,8 +197,16 @@ fn phase_offsets_shift_rotation_only() {
         let angle = rng.unit();
         let offset = f64_in(rng, 0.0, 1.0);
         let mut a = disk(TimingPath::Analytic);
-        let mut b = disk(TimingPath::Analytic);
-        b.set_phase_offset(offset);
+        let p = DiskParams::st39133lwv();
+        let mut b = SimDisk::with_parts(
+            &p,
+            Geometry::new(&p),
+            SeekProfile::fit(&p).expect("valid params"),
+            TimingPath::Analytic,
+            PositionKnowledge::Perfect,
+            1,
+            offset,
+        );
         let t = Target {
             cylinder,
             surface: 0,
