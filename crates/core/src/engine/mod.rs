@@ -74,7 +74,7 @@ use crate::sched::Policy;
 
 use cache::LruCache;
 use heads::{HeadIndex, ShardSet};
-use report::{FaultReport, RunReport};
+use report::RunReport;
 use shard::{HealthKind, Note, Pops, Shard, Submission};
 
 /// How write replicas are propagated (§3.4).
@@ -909,18 +909,6 @@ impl ArraySim {
         }
         if self.faults_active {
             self.report.faults.active = true;
-            for s in &mut self.shards {
-                if let Some(ctx) = s.faults.as_mut() {
-                    let fr = std::mem::replace(
-                        &mut ctx.report,
-                        FaultReport {
-                            active: true,
-                            ..FaultReport::default()
-                        },
-                    );
-                    self.report.faults.merge_counters(&fr);
-                }
-            }
         }
         for s in &mut self.shards {
             let sr = std::mem::take(&mut s.report);

@@ -86,30 +86,6 @@ pub struct FaultReport {
     pub rebuilding_ms: SampleSet,
 }
 
-impl FaultReport {
-    /// Folds a shard's fault counters into the array-level report.
-    ///
-    /// Counters sum; `rebuild_duration` keeps the longest rebuild. The
-    /// health-classified response sets are *not* merged — completions are
-    /// classified at the conductor, which is the only place the whole
-    /// array's health is known.
-    pub(crate) fn merge_counters(&mut self, other: &FaultReport) {
-        self.retries += other.retries;
-        self.redirects += other.redirects;
-        self.timeouts += other.timeouts;
-        self.media_errors += other.media_errors;
-        self.unrecoverable += other.unrecoverable;
-        self.rebuild_chunks += other.rebuild_chunks;
-        self.rebuilds_completed += other.rebuilds_completed;
-        if other.rebuild_duration > self.rebuild_duration {
-            self.rebuild_duration = other.rebuild_duration;
-        }
-        self.degraded_reads += other.degraded_reads;
-        self.rmw_updates += other.rmw_updates;
-        self.reconstruction_chunks += other.reconstruction_chunks;
-    }
-}
-
 /// Aggregated results of one simulation run.
 #[derive(Debug, Clone, Default)]
 pub struct RunReport {
@@ -182,9 +158,10 @@ impl RunReport {
 
     /// Folds one shard's dispatch-level accounting into the array-level
     /// report: physical-operation counters, delayed-write counters and
-    /// NVRAM peaks, and the per-operation timing/prediction statistics.
-    /// Always applied in shard order, so the floating-point folds are
-    /// independent of how shards were packed onto worker threads.
+    /// NVRAM peaks, the per-operation timing/prediction statistics, and
+    /// the fault counters. Always applied in shard order, so the
+    /// floating-point folds are independent of how shards were packed onto
+    /// worker threads.
     pub(crate) fn merge_dispatch(&mut self, other: &RunReport) {
         self.phys_requests += other.phys_requests;
         self.delayed_propagated += other.delayed_propagated;
@@ -205,12 +182,22 @@ impl RunReport {
         self.rotation_ms.merge(&other.rotation_ms);
         self.transfer_ms.merge(&other.transfer_ms);
         self.queue_wait_ms.merge(&other.queue_wait_ms);
-        // Parity counters accumulate on the shard's own report (no
-        // FaultCtx needed for a healthy parity run), so they fold here
-        // rather than in `merge_counters`.
-        self.faults.degraded_reads += other.faults.degraded_reads;
-        self.faults.rmw_updates += other.faults.rmw_updates;
-        self.faults.reconstruction_chunks += other.faults.reconstruction_chunks;
+        // Fault counters sum; `rebuild_duration` keeps the longest
+        // rebuild. The health-classified response sets are not merged:
+        // completions are classified at the conductor, the only place the
+        // whole array's health is known.
+        let (f, o) = (&mut self.faults, &other.faults);
+        f.retries += o.retries;
+        f.redirects += o.redirects;
+        f.timeouts += o.timeouts;
+        f.media_errors += o.media_errors;
+        f.unrecoverable += o.unrecoverable;
+        f.rebuild_chunks += o.rebuild_chunks;
+        f.rebuilds_completed += o.rebuilds_completed;
+        f.rebuild_duration = f.rebuild_duration.max(o.rebuild_duration);
+        f.degraded_reads += o.degraded_reads;
+        f.rmw_updates += o.rmw_updates;
+        f.reconstruction_chunks += o.reconstruction_chunks;
     }
 }
 

@@ -21,7 +21,6 @@
 
 use mimd_sim::{SimDuration, SimRng, SimTime};
 
-use crate::engine::report::FaultReport;
 use crate::layout::Replica;
 
 /// A scheduled fail-stop: the disk stops servicing at `at`.
@@ -351,8 +350,6 @@ pub(crate) struct FaultCtx {
     pub(crate) slow_now: Vec<u32>,
     /// Active rebuild, if any (one at a time).
     pub(crate) rebuild: Option<RebuildState>,
-    /// Counters and window samples, merged into the run report at the end.
-    pub(crate) report: FaultReport,
     /// Monotone stamp distinguishing timeout generations of a task slot.
     pub(crate) next_track: u64,
     /// Whether plan events have been pushed onto the event queue.
@@ -375,10 +372,6 @@ impl FaultCtx {
             rng: SimRng::named_indexed(seed, "faults", shard),
             slow_now: vec![0; disks],
             rebuild: None,
-            report: FaultReport {
-                active: true,
-                ..FaultReport::default()
-            },
             next_track: 0,
             armed: false,
             redirect_scratch: Vec::new(),
@@ -485,7 +478,6 @@ mod tests {
         // Shards draw from distinct members of the stream family.
         let mut c = FaultCtx::new(&plan, 7, 4, 1);
         assert_ne!(a.rng.below(1 << 30), c.rng.below(1 << 30));
-        assert!(a.report.active);
         assert!(!a.any_slow());
         a.slow_now[2] = 1;
         assert!(a.any_slow());
