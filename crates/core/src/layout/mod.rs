@@ -347,18 +347,26 @@ impl Layout {
     /// Appends the fragments of `[lbn, lbn+sectors)` to `out`, reusing the
     /// caller's buffer (the allocation-free twin of [`Layout::fragments`]).
     pub fn fragments_into(&self, lbn: u64, sectors: u32, out: &mut Vec<Fragment>) {
+        out.extend(self.split(lbn, sectors));
+    }
+
+    /// The stripe-unit split of `[lbn, lbn+sectors)`, in lbn order.
+    fn split(&self, lbn: u64, sectors: u32) -> impl Iterator<Item = Fragment> {
         let u = self.stripe_unit as u64;
-        let mut cur = lbn;
         let end = lbn + sectors as u64;
-        while cur < end {
-            let unit_end = (cur / u + 1) * u;
-            let len = unit_end.min(end) - cur;
-            out.push(Fragment {
+        let mut cur = lbn;
+        std::iter::from_fn(move || {
+            if cur >= end {
+                return None;
+            }
+            let len = ((cur / u + 1) * u).min(end) - cur;
+            let frag = Fragment {
                 lbn: cur,
                 sectors: len as u32,
-            });
+            };
             cur += len;
-        }
+            Some(frag)
+        })
     }
 
     /// Plans a logical request into routed `(fragment, full_stripe)`
@@ -378,21 +386,7 @@ impl Layout {
             self.parity_write_plan(lbn, sectors, out);
             return;
         }
-        let u = self.stripe_unit as u64;
-        let mut cur = lbn;
-        let end = lbn + sectors as u64;
-        while cur < end {
-            let unit_end = (cur / u + 1) * u;
-            let len = unit_end.min(end) - cur;
-            out.push((
-                Fragment {
-                    lbn: cur,
-                    sectors: len as u32,
-                },
-                false,
-            ));
-            cur += len;
-        }
+        out.extend(self.split(lbn, sectors).map(|f| (f, false)));
     }
 
     /// The disks that hold copies of a fragment (one per mirror).
@@ -466,25 +460,11 @@ impl Layout {
     }
 
     /// All read candidates for a fragment: `Dr × Dm` replicas across the
-    /// `Dm` owning disks. Returns an empty vector for out-of-range blocks.
+    /// `Dm` owning disks, in [`Layout::write_groups_into`] order. Returns an
+    /// empty vector for out-of-range blocks.
     pub fn read_candidates(&self, frag: Fragment) -> Vec<Replica> {
-        let Some((column, row, loc)) = self.base_placement(frag) else {
-            return Vec::new();
-        };
-        let mut out = Vec::with_capacity((self.shape.dr * self.shape.dm) as usize);
-        for m in 0..self.shape.dm {
-            let disk = self.disk_index(column, row, m);
-            for k in 0..self.shape.dr {
-                out.push(Replica {
-                    disk,
-                    target: self.replica_target(loc, k, m, frag.sectors),
-                    replica: k as u8,
-                    mirror: m as u8,
-                });
-            }
-        }
-        #[cfg(debug_assertions)]
-        self.check_replica_spacing(&out);
+        let mut out = Vec::new();
+        self.write_groups_into(frag, &mut out);
         out
     }
 
