@@ -20,6 +20,10 @@
 //!   scratch columns flushed through [`SimDisk::sched_cost_batch`] a
 //!   chunk at a time, folding each chunk into a scalar
 //!   `(cost, seq, candidate)` argmin.
+//! - The scratch columns belong to the thread, not the queue: one
+//!   `PickScratch` per thread serves every queue that thread picks from,
+//!   so an array of many drives keeps one set of gather buffers per
+//!   worker instead of one per queue.
 //! - **FCFS, LOOK and RLOOK** keep no index: every pick runs the scan over
 //!   the arrival-order window, one comparison per entry. The ordered
 //!   per-policy indexes they once had showed no gain over that scan in
@@ -67,6 +71,8 @@
 //! both [`DriveQueue::pick`] and [`crate::sched::pick`] and require
 //! identical picks — entry, replica, and sweep-direction side effects —
 //! across every policy.
+
+use std::cell::RefCell;
 
 use mimd_disk::{mod1, PhaseFloorRuler, SimDisk};
 use mimd_sim::{SimDuration, SimTime};
@@ -214,6 +220,14 @@ struct PickScratch {
     rot: Vec<u64>,
 }
 
+// simlint: shard-local(per-thread pick scratch; value-transparent — every pick clears it before use and no value survives into the next pick)
+thread_local! {
+    /// The calling thread's [`PickScratch`], borrowed by every SATF/RSATF
+    /// pick that thread makes, whichever queue it picks from.
+    // simlint: shard-local(same scratch — overwritten on every pick)
+    static PICK_SCRATCH: RefCell<PickScratch> = RefCell::new(PickScratch::default());
+}
+
 impl PickScratch {
     fn clear(&mut self) {
         self.seq.clear();
@@ -291,8 +305,6 @@ pub struct DriveQueue<S: Schedulable> {
     /// Total lanes across all bands (sum of candidate counts of queued
     /// SATF/RSATF tasks); gates the shallow-queue fast path.
     lane_count: usize,
-    /// Batch-kernel output lanes, reused across picks.
-    scratch: PickScratch,
 }
 
 impl<S: Schedulable> DriveQueue<S> {
@@ -307,7 +319,6 @@ impl<S: Schedulable> DriveQueue<S> {
             bands: Vec::new(),
             band_bits: Vec::new(),
             lane_count: 0,
-            scratch: PickScratch::default(),
         }
     }
 
@@ -437,10 +448,10 @@ impl<S: Schedulable> DriveQueue<S> {
     /// with or without read-ahead. FCFS, LOOK and RLOOK always run the
     /// windowed scan.
     ///
-    /// Takes `&mut self` only for kernel scratch; the logical queue state
-    /// is unchanged.
+    /// The queue is unchanged. A SATF/RSATF pick borrows the calling
+    /// thread's gather scratch, which holds nothing between picks.
     pub fn pick(
-        &mut self,
+        &self,
         disk: &SimDisk,
         now: SimTime,
         look: &mut LookState,
@@ -451,7 +462,7 @@ impl<S: Schedulable> DriveQueue<S> {
             return None;
         }
         if self.banded() {
-            self.pick_satf(disk, now, slack, window)
+            PICK_SCRATCH.with(|s| self.pick_satf(&mut s.borrow_mut(), disk, now, slack, window))
         } else {
             self.pick_scan(disk, now, look, slack, window)
         }
@@ -478,7 +489,8 @@ impl<S: Schedulable> DriveQueue<S> {
     }
 
     fn pick_satf(
-        &mut self,
+        &self,
+        scratch: &mut PickScratch,
         disk: &SimDisk,
         now: SimTime,
         slack: SimDuration,
@@ -505,7 +517,7 @@ impl<S: Schedulable> DriveQueue<S> {
         let ruler = disk.phase_floor_ruler(now);
         let mut best: Option<(u64, u64, u8, u32)> = None; // (cost, seq, cand, slot)
         if self.lane_count <= SMALL_LANES {
-            self.scratch.clear();
+            scratch.clear();
             // Jump straight between occupied bands via the bitmap words —
             // on a shallow queue most bands are empty and a linear
             // occupancy scan would cost more than the gather itself.
@@ -514,10 +526,10 @@ impl<S: Schedulable> DriveQueue<S> {
                 while bits != 0 {
                     let band = w * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    self.gather_band(disk, &ruler, period, arm, band, cutoff, None);
+                    self.gather_band(scratch, disk, &ruler, period, arm, band, cutoff, None);
                 }
             }
-            self.scratch.flush(disk, now, slack_ns, &mut best);
+            scratch.flush(disk, now, slack_ns, &mut best);
             let (_, seq, cand, slot) = best?;
             let id = self.id_at(slot, seq)?;
             return Some((id, cand as usize));
@@ -529,12 +541,12 @@ impl<S: Schedulable> DriveQueue<S> {
         // curve is weakly monotone), but per band it is one integer
         // compare. Recomputed only when the incumbent's cost improves.
         let mut maxd = u32::MAX;
-        self.scratch.clear();
+        scratch.clear();
         // Arm band first, flushed alone: it holds the nearest candidates,
         // so an early incumbent makes the distance prune bite immediately.
         if arm_band < nbands && self.band_occupied(arm_band) {
-            self.gather_band(disk, &ruler, period, arm, arm_band, cutoff, None);
-            if self.scratch.flush(disk, now, slack_ns, &mut best) {
+            self.gather_band(scratch, disk, &ruler, period, arm, arm_band, cutoff, None);
+            if scratch.flush(disk, now, slack_ns, &mut best) {
                 maxd = disk.max_seek_dist_within_ns(best.map_or(u64::MAX, |(c, ..)| c));
             }
         }
@@ -566,7 +578,7 @@ impl<S: Schedulable> DriveQueue<S> {
                 break;
             }
             let budget = best.map(|(c, ..)| c.saturating_add(ROT_PRUNE_SLOP_NS));
-            self.gather_band(disk, &ruler, period, arm, band, cutoff, budget);
+            self.gather_band(scratch, disk, &ruler, period, arm, band, cutoff, budget);
             // Flush whatever the band contributed right away: the handful
             // of lanes that survive the rotational screen are exactly the
             // ones that can move the incumbent, and folding them in now is
@@ -575,7 +587,7 @@ impl<S: Schedulable> DriveQueue<S> {
             // (tempting, to amortise the kernel's fixed cost) leaves both
             // prunes stale and the walk visits far more bands than it
             // saves in kernel overhead.
-            if self.scratch.flush(disk, now, slack_ns, &mut best) {
+            if scratch.flush(disk, now, slack_ns, &mut best) {
                 maxd = disk.max_seek_dist_within_ns(best.map_or(u64::MAX, |(c, ..)| c));
             }
             if is_up {
@@ -592,14 +604,14 @@ impl<S: Schedulable> DriveQueue<S> {
                 };
             }
         }
-        self.scratch.flush(disk, now, slack_ns, &mut best);
+        scratch.flush(disk, now, slack_ns, &mut best);
         let (_, seq, cand, slot) = best?;
         let id = self.id_at(slot, seq)?;
         Some((id, cand as usize))
     }
 
     /// Appends a band's *eligible* lanes — seq below `cutoff` (window
-    /// masking) — to the pick scratch. Gather-time filtering means masked
+    /// masking) — to `s`. Gather-time filtering means masked
     /// lanes are never costed and the flush argmin needs no per-lane
     /// window check.
     ///
@@ -615,7 +627,8 @@ impl<S: Schedulable> DriveQueue<S> {
     /// (the seek bound) keeps the bound sound.
     #[allow(clippy::too_many_arguments)]
     fn gather_band(
-        &mut self,
+        &self,
+        s: &mut PickScratch,
         disk: &SimDisk,
         ruler: &PhaseFloorRuler,
         period: f64,
@@ -625,7 +638,6 @@ impl<S: Schedulable> DriveQueue<S> {
         budget: Option<u64>,
     ) {
         let lanes = &self.bands[band];
-        let s = &mut self.scratch;
         if cutoff == u64::MAX && budget.is_none() {
             // Whole band eligible: straight column copies.
             s.seq.extend_from_slice(&lanes.seq);

@@ -1,7 +1,9 @@
 //! The scheduler pick path allocates nothing in steady state: after one
 //! warm-up pick, no decision over a 256-entry queue makes a heap
 //! allocation, whether it runs the scan directly or through the engine's
-//! entry point, `DriveQueue::pick`, under any of the five policies.
+//! entry point, `DriveQueue::pick`, under any of the five policies. SATF
+//! and RSATF picks share one gather scratch per thread, so the test also
+//! alternates picks between a shallow and a deep queue on one thread.
 //!
 //! A counting global allocator sees every allocation in the process, so
 //! this file holds exactly one test: no other test thread can allocate
@@ -161,5 +163,32 @@ fn scheduler_pick_allocates_nothing_after_warmup() {
     assert_eq!(
         grew, 0,
         "read-ahead RSATF DriveQueue::pick: {grew} allocations in steady state"
+    );
+
+    // The thread's one pick scratch serves every queue: alternate SATF and
+    // RSATF picks between a 4-deep and a 256-deep queue. Once the deep
+    // queue has grown the scratch, the shallow one must not shrink it.
+    let mut queues = Vec::new();
+    for policy in [Policy::Satf, Policy::Rsatf] {
+        for depth in [4, 256] {
+            let mut dq = DriveQueue::new(policy);
+            for e in make_queue(depth, 3, &mut rng) {
+                dq.insert(&disk, e);
+            }
+            queues.push(dq);
+        }
+    }
+    let mut look = LookState::default();
+    let grew = steady_state_allocations(|| {
+        let mut last = None;
+        for i in [0, 3, 1, 2, 0, 1, 3, 2] {
+            last = queues[i].pick(&disk, black_box(now), &mut look, SimDuration::ZERO, 128);
+            last?;
+        }
+        last
+    });
+    assert_eq!(
+        grew, 0,
+        "SATF/RSATF picks alternating over 4- and 256-deep queues: {grew} allocations in steady state"
     );
 }
