@@ -1,8 +1,8 @@
 //! Pinned end-to-end results for faulted runs: hot-spare copy rebuilds and
 //! parity reconstructions (completed, abandoned, reissued), read and
 //! write retries (rotating over three mirrors) and their exhaustion,
-//! timeouts, redirects, rehomed queues and in-flight duplicates, and
-//! parity-operation replans.
+//! timeouts, redirects, rehomed queues, in-flight duplicates and orphaned
+//! duplicates a live mirror still queues, and parity-operation replans.
 //!
 //! Each test asserts `(completed, failed_requests, witness, mean response
 //! bits, FNV-1a of the report's Debug string)`. The witness digests every
@@ -214,10 +214,10 @@ fn closed_loop_timeouts_and_in_flight_duplicates() {
         closed(cfg, plan, 0.7, 32, 6_000),
         (
             6_000,
-            9,
-            12_761_222_908_207_815_828,
-            4_632_325_965_405_734_630,
-            17_292_687_177_977_395_168
+            11,
+            2_737_605_023_361_488_048,
+            4_632_371_432_321_511_959,
+            11_698_975_236_975_437_276
         )
     );
 }
@@ -358,6 +358,24 @@ fn read_retries_rotate_over_three_mirrors() {
             2_941_829_297_179_794_922,
             4_619_174_949_907_627_322,
             4_495_856_600_640_262_203
+        )
+    );
+}
+
+/// A read duplicated onto both disks of a 2-way mirror, still queued on
+/// both when one disk fails, is read once, by the survivor: the orphaned
+/// copy is dropped, not dispatched a second time.
+#[test]
+fn closed_loop_drops_orphaned_duplicates_a_live_mirror_still_queues() {
+    let plan = FaultPlan::new().fail_stop(0, secs(0.5));
+    assert_eq!(
+        closed(EngineConfig::new(Shape::mirror(2)), plan, 1.0, 32, 4_000),
+        (
+            4_000,
+            0,
+            6_541_060_373_371_165_106,
+            4_636_575_749_796_105_379,
+            4_248_195_637_169_144_001
         )
     );
 }
