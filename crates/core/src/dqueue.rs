@@ -7,8 +7,9 @@
 //! entry at a time. For SATF/RSATF, [`DriveQueue`] moves that work to the
 //! mutation sites:
 //!
-//! - Entries live in a **slab** with stable, generation-tagged
-//!   [`TaskId`]s; queues and the index store ids, never moved structs.
+//! - Entries live with their arrival seq in the crate's generation-tagged
+//!   slab, addressed by stable [`TaskId`]s; the arrival order and the
+//!   index store ids, never moved structs.
 //! - **SATF/RSATF** maintain a *rotational band index* in
 //!   struct-of-arrays form: every candidate (entry × replica) lives in
 //!   the per-cylinder-band `BandLanes` — flat, parallel columns of
@@ -78,6 +79,8 @@ use mimd_disk::{mod1, PhaseFloorRuler, SimDisk};
 use mimd_sim::{SimDuration, SimTime};
 
 use crate::sched::{self, LookState, Policy, Schedulable};
+pub use crate::slab::Key as TaskId;
+use crate::slab::Slab;
 
 /// Cylinders per band of the SATF band index. Wide bands keep the walk's
 /// per-band fixed cost (cursor advance, seek bound) off the
@@ -102,23 +105,6 @@ const ROT_PRUNE_SLOP_NS: u64 = 1_000;
 /// over the same eligible lanes either way — this is a route choice, not a
 /// policy change.
 const SMALL_LANES: usize = 24;
-
-/// A stable handle to a slab-resident task.
-///
-/// The generation tag makes stale handles harmless: removing a task and
-/// reusing its slot bumps the generation, so an old id no longer matches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct TaskId {
-    slot: u32,
-    gen: u32,
-}
-
-#[derive(Debug)]
-struct Slot<S> {
-    task: Option<S>,
-    gen: u32,
-    seq: u64,
-}
 
 /// Packed per-lane identity: `slot` (28 bits) | `cyl` (20 bits) |
 /// `surface` (8 bits) | `cand` (7 bits) | `write` (1 bit), most- to
@@ -292,8 +278,8 @@ impl PickScratch {
 #[derive(Debug)]
 pub struct DriveQueue<S: Schedulable> {
     policy: Policy,
-    slots: Vec<Slot<S>>,
-    free: Vec<u32>,
+    /// Each queued task with its arrival seq.
+    tasks: Slab<(u64, S)>,
     /// Live ids in arrival order (ascending `seq`).
     order: Vec<TaskId>,
     next_seq: u64,
@@ -312,8 +298,7 @@ impl<S: Schedulable> DriveQueue<S> {
     pub fn new(policy: Policy) -> Self {
         DriveQueue {
             policy,
-            slots: Vec::new(),
-            free: Vec::new(),
+            tasks: Slab::default(),
             order: Vec::new(),
             next_seq: 0,
             bands: Vec::new(),
@@ -334,11 +319,7 @@ impl<S: Schedulable> DriveQueue<S> {
 
     /// The task behind `id`, if it is still queued.
     pub fn get(&self, id: TaskId) -> Option<&S> {
-        let s = self.slots.get(id.slot as usize)?;
-        if s.gen != id.gen {
-            return None;
-        }
-        s.task.as_ref()
+        self.tasks.get(id).map(|(_, task)| task)
     }
 
     /// Live ids in arrival order.
@@ -350,10 +331,7 @@ impl<S: Schedulable> DriveQueue<S> {
     /// keeping the queue's allocations for reuse.
     pub fn clear(&mut self) {
         for id in self.order.drain(..) {
-            let s = &mut self.slots[id.slot as usize];
-            s.task = None;
-            s.gen = s.gen.wrapping_add(1);
-            self.free.push(id.slot);
+            self.tasks.remove(id);
         }
         for lanes in &mut self.bands {
             lanes.clear();
@@ -368,74 +346,44 @@ impl<S: Schedulable> DriveQueue<S> {
     /// memoises each candidate's effective target phase at insert time, so
     /// picks never re-quantise.
     pub fn insert(&mut self, disk: &SimDisk, task: S) -> TaskId {
-        let seq = self.next_seq;
+        let id = self.tasks.insert((self.next_seq, task));
         self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                self.slots.push(Slot {
-                    task: None,
-                    gen: 0,
-                    seq: 0,
-                });
-                (self.slots.len() - 1) as u32
-            }
-        };
-        let sref = &mut self.slots[slot as usize];
-        sref.task = Some(task);
-        sref.seq = seq;
-        let id = TaskId {
-            slot,
-            gen: sref.gen,
-        };
         self.order.push(id);
-        self.index_insert(disk, id, seq);
+        self.index_insert(disk, id);
         id
     }
 
     /// Removes and returns the task behind `id`; `None` if the id is stale.
     pub fn remove(&mut self, id: TaskId) -> Option<S> {
-        let s = self.slots.get(id.slot as usize)?;
-        if s.gen != id.gen || s.task.is_none() {
-            return None;
-        }
-        let seq = s.seq;
+        let seq = self.tasks.get(id)?.0;
         mimd_sim::sim_invariant!(
-            self.order.len() < 2
-                || self.order.windows(2).all(
-                    |w| self.slots[w[0].slot as usize].seq < self.slots[w[1].slot as usize].seq
-                ),
+            self.order
+                .windows(2)
+                .all(|w| self.seq_of(w[0]) < self.seq_of(w[1])),
             "drive-queue arrival order out of seq order"
         );
         // `order` is sorted by seq, so the position is a binary search.
         let pos = self
             .order
-            .binary_search_by_key(&seq, |i| self.slots[i.slot as usize].seq)
+            .binary_search_by_key(&seq, |&i| self.seq_of(i))
             .ok()?;
-        self.index_remove(id, seq);
+        self.index_remove(id);
         self.order.remove(pos);
-        let sref = &mut self.slots[id.slot as usize];
-        sref.gen = sref.gen.wrapping_add(1);
-        self.free.push(id.slot);
-        sref.task.take()
+        self.tasks.remove(id).map(|(_, task)| task)
     }
 
     /// Mutates the task behind `id` in place, keeping its arrival position,
     /// and re-indexes it (its targets may have changed).
     /// Returns whether the id was live.
     pub fn replace_with(&mut self, disk: &SimDisk, id: TaskId, f: impl FnOnce(&mut S)) -> bool {
-        let Some(s) = self.slots.get_mut(id.slot as usize) else {
-            return false;
-        };
-        if s.gen != id.gen || s.task.is_none() {
+        if self.tasks.get(id).is_none() {
             return false;
         }
-        let seq = s.seq;
-        self.index_remove(id, seq);
-        if let Some(task) = self.slots[id.slot as usize].task.as_mut() {
+        self.index_remove(id);
+        if let Some((_, task)) = self.tasks.get_mut(id) {
             f(task);
         }
-        self.index_insert(disk, id, seq);
+        self.index_insert(disk, id);
         true
     }
 
@@ -479,10 +427,7 @@ impl<S: Schedulable> DriveQueue<S> {
     ) -> Option<(TaskId, usize)> {
         let window = window.min(self.order.len());
         let queue = self.order[..window].iter().map(|&id| {
-            self.slots[id.slot as usize]
-                .task
-                .as_ref()
-                .expect("order holds live ids") // simlint: allow(panic) — queue invariant
+            self.get(id).expect("order holds live ids") // simlint: allow(panic) — queue invariant
         });
         let p = sched::pick(self.policy, disk, now, queue, look, slack)?;
         Some((self.order[p.queue_index], p.candidate))
@@ -500,11 +445,10 @@ impl<S: Schedulable> DriveQueue<S> {
         // seq-sorted, so that prefix is exactly the lanes with seq below
         // the first out-of-window entry's seq; lanes at or past the cutoff
         // stay in the index but are masked out of the argmin.
-        let cutoff = if self.order.len() > window {
-            self.slots[self.order[window].slot as usize].seq
-        } else {
-            u64::MAX
-        };
+        let cutoff = self
+            .order
+            .get(window)
+            .map_or(u64::MAX, |&id| self.seq_of(id));
         let arm = disk.arm_cylinder();
         let arm_band = (arm / BAND_CYLS) as usize;
         let nbands = self.bands.len();
@@ -730,11 +674,13 @@ impl<S: Schedulable> DriveQueue<S> {
     }
 
     fn id_at(&self, slot: u32, seq: u64) -> Option<TaskId> {
-        let s = self.slots.get(slot as usize)?;
-        if s.seq != seq || s.task.is_none() {
-            return None;
-        }
-        Some(TaskId { slot, gen: s.gen })
+        let id = self.tasks.key_at(slot)?;
+        (self.seq_of(id) == seq).then_some(id)
+    }
+
+    /// The arrival seq of a queued task (`u64::MAX` for a stale id).
+    fn seq_of(&self, id: TaskId) -> u64 {
+        self.tasks.get(id).map_or(u64::MAX, |&(seq, _)| seq)
     }
 
     /// Whether this queue keeps the band index: only SATF/RSATF do; the
@@ -752,19 +698,15 @@ impl<S: Schedulable> DriveQueue<S> {
         }
     }
 
-    fn index_insert(&mut self, disk: &SimDisk, id: TaskId, seq: u64) {
+    fn index_insert(&mut self, disk: &SimDisk, id: TaskId) {
         if !self.banded() {
             return;
         }
-        // Move the task out of its slot for the duration: the index
-        // structures and the slab are both `self`, and a by-value move is
-        // free (no clone) while keeping borrows disjoint and the hot path
-        // allocation-free.
-        let Some(task) = self.slots[id.slot as usize].task.take() else {
+        let Some((seq, task)) = self.tasks.get(id) else {
             return;
         };
         let write = task.is_write();
-        let limit = self.lane_limit(&task);
+        let limit = self.lane_limit(task);
         for (c, t) in task.candidates().iter().take(limit).enumerate() {
             let band = (t.cylinder / BAND_CYLS) as usize;
             if band >= self.bands.len() {
@@ -772,28 +714,27 @@ impl<S: Schedulable> DriveQueue<S> {
                 self.band_bits.resize(self.bands.len().div_ceil(64), 0);
             }
             let key = pack_key(id.slot, t.cylinder, t.surface, c as u8, write);
-            self.bands[band].push(seq, key, disk.sched_phase(t));
+            self.bands[band].push(*seq, key, disk.sched_phase(t));
             self.band_bits[band / 64] |= 1 << (band % 64);
             self.lane_count += 1;
         }
-        self.slots[id.slot as usize].task = Some(task);
     }
 
-    fn index_remove(&mut self, id: TaskId, seq: u64) {
+    fn index_remove(&mut self, id: TaskId) {
         if !self.banded() {
             return;
         }
-        let Some(task) = self.slots[id.slot as usize].task.take() else {
+        let Some((seq, task)) = self.tasks.get(id) else {
             return;
         };
-        let limit = self.lane_limit(&task);
+        let limit = self.lane_limit(task);
         for t in task.candidates().iter().take(limit) {
             let band = (t.cylinder / BAND_CYLS) as usize;
             let lanes = &mut self.bands[band];
             // `seq` alone identifies the entry; each loop pass removes one
             // of its lanes in this band, so entries with several replicas
             // in one band drain fully.
-            if let Some(at) = lanes.seq.iter().position(|&s| s == seq) {
+            if let Some(at) = lanes.seq.iter().position(|s| s == seq) {
                 lanes.swap_remove(at);
                 self.lane_count -= 1;
             }
@@ -801,7 +742,6 @@ impl<S: Schedulable> DriveQueue<S> {
                 self.band_bits[band / 64] &= !(1 << (band % 64));
             }
         }
-        self.slots[id.slot as usize].task = Some(task);
     }
 }
 
@@ -868,7 +808,7 @@ mod tests {
         let mut want: Vec<Lane> = Vec::new();
         for (i, e) in mirror.iter().enumerate() {
             let id = ids[i];
-            let seq = dq.slots[id.slot as usize].seq;
+            let seq = dq.seq_of(id);
             let limit = if dq.policy.replica_aware() {
                 e.candidates.len()
             } else {

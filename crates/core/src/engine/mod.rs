@@ -58,8 +58,6 @@ mod heads;
 pub mod report;
 mod shard;
 
-use std::collections::VecDeque;
-
 use mimd_disk::DiskParams;
 use mimd_disk::{Geometry, PositionKnowledge, SeekProfile, TimingPath};
 use mimd_sim::{DetWitness, EventQueue, SimDuration, SimRng, SimTime};
@@ -71,6 +69,7 @@ use crate::layout::{
     Fragment, Layout, LayoutError, ParityConfig, Replica, ReplicaPlacement, DEFAULT_STRIPE_UNIT,
 };
 use crate::sched::Policy;
+use crate::slab::{Key, Slab};
 
 use cache::LruCache;
 use heads::{HeadIndex, ShardSet};
@@ -271,6 +270,9 @@ pub(crate) fn compact_live_groups(
     reps.truncate(w);
 }
 
+/// One live logical request. `Option<Logical>` packs into the record's
+/// own bytes (`op` and `failed` leave spare bit patterns), so a slab slot
+/// carries no tag byte beside it.
 #[derive(Debug, Clone, Copy)]
 struct Logical {
     arrival: SimTime,
@@ -284,112 +286,7 @@ struct Logical {
     failed: bool,
 }
 
-/// Packed [`Logical`] flags: bits 0–1 the op tag, bit 2 failed, bit 3
-/// slot-live.
-mod lflag {
-    use mimd_workload::Op;
-
-    pub const FAILED: u8 = 1 << 2;
-    pub const LIVE: u8 = 1 << 3;
-
-    pub fn op_bits(op: Op) -> u8 {
-        match op {
-            Op::Read => 0,
-            Op::SyncWrite => 1,
-            Op::AsyncWrite => 2,
-        }
-    }
-
-    pub fn op_of(flags: u8) -> Op {
-        match flags & 0b11 {
-            0 => Op::Read,
-            1 => Op::SyncWrite,
-            _ => Op::AsyncWrite,
-        }
-    }
-}
-
-/// Live logical requests, addressed by their sequential id.
-///
-/// Ids are issued monotonically, so the live set always sits in a
-/// contiguous id window: ring buffers indexed by `id - base` give O(1)
-/// insert/lookup/remove with no per-entry node allocation (the original
-/// `BTreeMap` cost one node split per ~handful of requests on the hot
-/// path). Storage is struct-of-arrays: the completion hot path only
-/// touches `parts` + `flags` (5 bytes/slot instead of a 40-byte struct),
-/// so part-countdown traffic stays in a fraction of the cache lines, and
-/// the full record is only gathered when the request actually completes.
-#[derive(Debug, Default)]
-struct LogicalTable {
-    base: u64,
-    arrivals: VecDeque<SimTime>,
-    lbns: VecDeque<u64>,
-    sectors: VecDeque<u32>,
-    parts: VecDeque<u32>,
-    flags: VecDeque<u8>,
-    live: usize,
-}
-
-impl LogicalTable {
-    fn insert(&mut self, id: u64, l: Logical) {
-        debug_assert_eq!(id, self.base + self.arrivals.len() as u64);
-        self.arrivals.push_back(l.arrival);
-        self.lbns.push_back(l.lbn);
-        self.sectors.push_back(l.sectors);
-        self.parts.push_back(l.parts);
-        self.flags.push_back(
-            lflag::op_bits(l.op) | if l.failed { lflag::FAILED } else { 0 } | lflag::LIVE,
-        );
-        self.live += 1;
-    }
-
-    fn index(&self, id: u64) -> Option<usize> {
-        let idx = id.checked_sub(self.base)? as usize;
-        (idx < self.flags.len() && self.flags[idx] & lflag::LIVE != 0).then_some(idx)
-    }
-
-    /// Counts one part done (optionally failed); returns whether the
-    /// request's last part just finished. One indexed lookup touching only
-    /// the two hot columns.
-    fn dec_part(&mut self, id: u64, failed: bool) -> Option<bool> {
-        let idx = self.index(id)?;
-        if failed {
-            self.flags[idx] |= lflag::FAILED;
-        }
-        let p = self.parts[idx].saturating_sub(1);
-        self.parts[idx] = p;
-        Some(p == 0)
-    }
-
-    /// Removes a live request, gathering its full record from the columns.
-    fn take(&mut self, id: u64) -> Option<Logical> {
-        let idx = self.index(id)?;
-        let l = Logical {
-            arrival: self.arrivals[idx],
-            op: lflag::op_of(self.flags[idx]),
-            parts: self.parts[idx],
-            lbn: self.lbns[idx],
-            sectors: self.sectors[idx],
-            failed: self.flags[idx] & lflag::FAILED != 0,
-        };
-        self.flags[idx] = 0;
-        self.live -= 1;
-        // Trim the drained prefix so the window tracks the live ids.
-        while self.flags.front() == Some(&0) {
-            self.arrivals.pop_front();
-            self.lbns.pop_front();
-            self.sectors.pop_front();
-            self.parts.pop_front();
-            self.flags.pop_front();
-            self.base += 1;
-        }
-        Some(l)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-}
+const _: () = assert!(std::mem::size_of::<Option<Logical>>() == std::mem::size_of::<Logical>());
 
 /// Conductor-level events: everything that completes without touching a
 /// disk. Folded into the conductor's witness sub-stream with disk
@@ -397,7 +294,7 @@ impl LogicalTable {
 #[derive(Debug, Clone, Copy)]
 enum CondEvent {
     /// A cache hit (or a request with no reachable fragment) completes.
-    CacheDone(u64),
+    CacheDone(Key),
 }
 
 struct ClosedLoop {
@@ -454,8 +351,8 @@ pub struct ArraySim {
     shards: Vec<Shard>,
     /// Conductor-level completions (cache hits, unreachable requests).
     events: EventQueue<CondEvent>,
-    logicals: LogicalTable,
-    next_logical: u64,
+    /// Live logical requests.
+    logicals: Slab<Logical>,
     cache: Option<LruCache>,
     cache_hit_time: SimDuration,
     /// Conductor stream: closed-loop workload draws only.
@@ -503,14 +400,13 @@ impl ArraySim {
         cfg.faults
             .validate(layout.disks())
             .map_err(LayoutError::InvalidFaultPlan)?;
-        let n = layout.disks();
         // Calibrate the drive model once — the seek fit is a numeric
         // bisection costing ~1 ms — and stamp out per-disk copies. The
         // profile's lookup tables are Arc-shared across all spindles.
         let seek = SeekProfile::fit(&cfg.disk_params).map_err(LayoutError::InvalidDiskParams)?;
         let groups = layout.groups();
         let shards: Vec<Shard> = (0..groups)
-            .map(|g| Shard::new(g, n, &layout, &cfg, &geometry, &seek))
+            .map(|g| Shard::new(g, &layout, &cfg, &geometry, &seek))
             .collect();
         let cache = cfg.cache.as_ref().map(|c| LruCache::new(c.bytes));
         let cache_hit_time = cfg
@@ -525,8 +421,7 @@ impl ArraySim {
             shards,
             events: EventQueue::new(),
             cfg,
-            logicals: LogicalTable::default(),
-            next_logical: 0,
+            logicals: Slab::default(),
             cache,
             cache_hit_time,
             rng,
@@ -881,7 +776,12 @@ impl ArraySim {
                 at,
                 failed,
             } => {
-                if self.logicals.dec_part(logical, failed) == Some(true) {
+                let Some(l) = self.logicals.get_mut(logical) else {
+                    return;
+                };
+                l.failed |= failed;
+                l.parts = l.parts.saturating_sub(1);
+                if l.parts == 0 {
                     self.complete_logical(at, logical);
                 }
             }
@@ -957,8 +857,8 @@ impl ArraySim {
     }
 
     /// Opens a logical request arriving at `now` and plans it into
-    /// `self.plan`: one submission per fragment. Returns its id.
-    fn plan_logical(&mut self, now: SimTime, op: Op, lbn: u64, sectors: u32) -> u64 {
+    /// `self.plan`: one submission per fragment. Returns its key.
+    fn plan_logical(&mut self, now: SimTime, op: Op, lbn: u64, sectors: u32) -> Key {
         let write = op.is_write();
         let fg_write = write && self.cfg.write_mode == WriteMode::Foreground;
         self.frag_scratch.clear();
@@ -979,25 +879,19 @@ impl ArraySim {
     }
 
     /// Registers a logical request awaiting `parts` fragment completions.
-    fn open_logical(&mut self, now: SimTime, op: Op, lbn: u64, sectors: u32, parts: u32) -> u64 {
-        let id = self.next_logical;
-        self.next_logical += 1;
-        self.logicals.insert(
-            id,
-            Logical {
-                arrival: now,
-                op,
-                parts,
-                lbn,
-                sectors,
-                failed: false,
-            },
-        );
-        id
+    fn open_logical(&mut self, now: SimTime, op: Op, lbn: u64, sectors: u32, parts: u32) -> Key {
+        self.logicals.insert(Logical {
+            arrival: now,
+            op,
+            parts,
+            lbn,
+            sectors,
+            failed: false,
+        })
     }
 
-    fn complete_logical(&mut self, now: SimTime, id: u64) {
-        let Some(l) = self.logicals.take(id) else {
+    fn complete_logical(&mut self, now: SimTime, id: Key) {
+        let Some(l) = self.logicals.remove(id) else {
             return;
         };
         let response = now.saturating_since(l.arrival);
@@ -1288,6 +1182,29 @@ mod tests {
             r.nvram_peak
         );
         assert!(r.delayed_propagated > 0);
+    }
+
+    /// A record store keyed by a monotone id keeps every id issued since
+    /// its oldest live record; the slabs hold no more slots than were
+    /// live at once, here the 128 requests a closed loop keeps in flight.
+    #[test]
+    fn record_stores_stay_within_the_live_count() {
+        let spec = IometerSpec::microbench(16_000_000, 1.0);
+        let mut sim = ArraySim::new(quick_cfg(Shape::raid10(16).unwrap()), 16_000_000).unwrap();
+        let r = sim.run_closed_loop(&spec, 128, 10_000);
+        assert_eq!(r.completed, 10_000);
+        assert!(
+            sim.logicals.slot_count() <= 128,
+            "conductor slab grew to {} slots",
+            sim.logicals.slot_count()
+        );
+        for (g, s) in sim.shards.iter().enumerate() {
+            assert!(
+                s.job_slots() <= 128,
+                "shard {g}'s job slab grew to {} slots",
+                s.job_slots()
+            );
+        }
     }
 
     #[test]

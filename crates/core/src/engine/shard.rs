@@ -12,8 +12,11 @@
 //!
 //! Each owned disk's state is one [`Drive`] record: the disk, its two
 //! queues, its in-flight operation, its LOOK state and its bookkeeping.
-//! Mirror duplicates (§3.3) are tracked by generation in a [`DupSlab`],
-//! so cancelling the copies that lost costs O(Dm), not O(queue depth).
+//! Mirror duplicates (§3.3) are tracked by generation, one [`DupGen`] per
+//! generation with a copy still queued, so cancelling the copies that
+//! lost costs O(Dm), not O(queue depth). Jobs, duplicate generations and
+//! parity operations each live in a generation-tagged [`Slab`], so every
+//! store holds no more slots than were live at once.
 //!
 //! Cross-shard traffic is carried as timestamped messages:
 //!
@@ -32,8 +35,6 @@
 
 mod parity;
 
-use std::collections::BTreeMap;
-
 use mimd_disk::{SimDisk, Target};
 
 use mimd_sim::{DetWitness, EventQueue, SimDuration, SimRng, SimTime};
@@ -44,6 +45,7 @@ use crate::dqueue::{DriveQueue, TaskId};
 use crate::faults::{FaultCtx, RebuildState};
 use crate::layout::{Fragment, Layout, Replica, LBN_LIMIT};
 use crate::sched::{LookState, Schedulable};
+use crate::slab::{Key, Slab};
 
 use super::report::RunReport;
 use super::{compact_live_groups, MirrorPolicy, SCHED_WINDOW, TASK_POOL_CAP};
@@ -63,19 +65,19 @@ pub(crate) enum TaskKind {
     Rebuild,
     /// One read leg of a parity operation (RAID 4/5): a plain data read,
     /// a degraded-read reconstruction leg, or the old-value read of an
-    /// RMW. `task.job` holds the owning [`ParityOp`] id.
+    /// RMW. `task.job` holds the owning [`ParityOp`]'s key.
     ParityRead,
     /// One write leg of a parity operation: RMW data/parity update or a
-    /// full-stripe member write. `task.job` holds the [`ParityOp`] id.
+    /// full-stripe member write. `task.job` holds the [`ParityOp`]'s key.
     ParityWrite,
 }
 
 #[derive(Debug, Clone)]
 pub(crate) struct PendingTask {
-    /// Shard-local job id (an index into the shard's [`JobRing`]), or
-    /// `u64::MAX` for tasks with no logical request (delayed propagation,
-    /// rebuild chunk reads).
-    pub(crate) job: u64,
+    /// The task's [`Job`], or for a parity leg its [`ParityOp`]; `None`
+    /// for tasks with no logical request (delayed propagation, rebuild
+    /// chunk reads).
+    pub(crate) job: Option<Key>,
     pub(crate) frag: Fragment,
     pub(crate) write: bool,
     pub(crate) kind: TaskKind,
@@ -84,7 +86,8 @@ pub(crate) struct PendingTask {
     /// one mirror (see [`PendingTask::aim`]).
     pub(crate) meta: (u8, u8),
     pub(crate) enqueued: SimTime,
-    pub(crate) dup: Option<DupId>,
+    /// The mirror-duplicate generation this copy belongs to.
+    pub(crate) dup: Option<Key>,
     /// Retry attempts consumed so far (fault layer).
     pub(crate) attempt: u8,
     /// Timeout-tracking stamp; `0` means no timeout is armed on this task.
@@ -95,7 +98,7 @@ impl PendingTask {
     /// An empty shell for the recycling pool.
     fn shell() -> PendingTask {
         PendingTask {
-            job: 0,
+            job: None,
             frag: Fragment { lbn: 0, sectors: 0 },
             write: false,
             kind: TaskKind::Read,
@@ -268,7 +271,7 @@ pub(crate) enum Note {
     /// One routed fragment of a logical request finished (all its local
     /// parts completed, or it was failed outright).
     Part {
-        logical: u64,
+        logical: Key,
         at: SimTime,
         failed: bool,
     },
@@ -285,7 +288,7 @@ pub(crate) enum Note {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Submission {
     pub(crate) at: SimTime,
-    pub(crate) logical: u64,
+    pub(crate) logical: Key,
     pub(crate) frag: Fragment,
     pub(crate) write: bool,
     /// Foreground write mode: every replica group gets its own gating task.
@@ -309,156 +312,33 @@ pub(crate) struct Nvram {
     threshold: usize,
 }
 
-/// Live fragment jobs of one shard, addressed by sequential local id:
-/// the ring's invariant fixes the next id at `base + len`.
-/// Same ring-buffer idea as the conductor's `LogicalTable`, but only the
-/// part countdown lives here — request metadata stays with the conductor.
-#[derive(Debug, Default)]
-struct JobRing {
-    base: u64,
-    logicals: std::collections::VecDeque<u64>,
-    parts: std::collections::VecDeque<u32>,
-    /// Bit 0: failed. Bit 1: live.
-    flags: std::collections::VecDeque<u8>,
-    live: usize,
+/// One routed fragment of a logical request: its part countdown. Request
+/// metadata stays with the conductor.
+#[derive(Debug)]
+struct Job {
+    logical: Key,
+    /// Parts still outstanding.
+    parts: u32,
+    /// Whether any part failed.
+    failed: bool,
 }
 
-const JOB_FAILED: u8 = 1;
-const JOB_LIVE: u8 = 2;
-
-impl JobRing {
-    /// Opens a job of `parts` parts for `logical` and returns its id.
-    fn insert(&mut self, logical: u64, parts: u32) -> u64 {
-        let id = self.base + self.logicals.len() as u64;
-        self.logicals.push_back(logical);
-        self.parts.push_back(parts);
-        self.flags.push_back(JOB_LIVE);
-        self.live += 1;
-        id
-    }
-
-    fn index(&self, id: u64) -> Option<usize> {
-        let idx = id.checked_sub(self.base)? as usize;
-        (idx < self.flags.len() && self.flags[idx] & JOB_LIVE != 0).then_some(idx)
-    }
-
-    /// Counts one part done; on the job's last part, retires it and
-    /// returns `(logical, failed)` for the completion note.
-    fn dec(&mut self, id: u64, failed: bool) -> Option<(u64, bool)> {
-        let idx = self.index(id)?;
-        if failed {
-            self.flags[idx] |= JOB_FAILED;
-        }
-        let p = self.parts[idx].saturating_sub(1);
-        self.parts[idx] = p;
-        if p != 0 {
-            return None;
-        }
-        let out = (self.logicals[idx], self.flags[idx] & JOB_FAILED != 0);
-        self.flags[idx] = 0;
-        self.live -= 1;
-        while self.flags.front() == Some(&0) {
-            self.logicals.pop_front();
-            self.parts.pop_front();
-            self.flags.pop_front();
-            self.base += 1;
-        }
-        Some(out)
-    }
-}
-
-/// A mirror-duplicate generation: its [`DupSlab`] slot, and the slot's
-/// tag when the generation opened.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct DupId {
-    slot: u32,
-    tag: u32,
-}
-
-/// The open mirror-duplicate generations of one shard (§3.3: a read whose
-/// owners are all busy is queued on every owner, and the first copy to
-/// start wins). Each generation records its copies, the `(local disk,
-/// queued id)` of each, so starting one copy finds its siblings in O(Dm)
-/// rather than by scanning queues.
+/// An open mirror-duplicate generation (§3.3: a read whose owners are all
+/// busy is queued on every owner, and the first copy to start wins). It
+/// records its copies, so starting one finds its siblings in O(Dm) rather
+/// than by scanning queues.
 ///
-/// A generation closes when one of its copies starts, or when the last
-/// copy still queued on a live disk fails with its disk. Its slot is then
-/// reused, and the slot's tag moves on so the old [`DupId`] no longer
-/// matches. The slab therefore holds only the generations with a copy
-/// still queued.
-#[derive(Debug, Default)]
-struct DupSlab {
-    gens: Vec<DupGen>,
-    free: Vec<u32>,
-}
-
-#[derive(Debug, Default)]
+/// A generation is removed from its slab when one of its copies starts,
+/// or when the last copy still queued on a live disk fails with its
+/// disk, so the slab holds only the generations with a copy still queued.
+#[derive(Debug)]
 struct DupGen {
-    tag: u32,
     /// Copies queued on a live disk. An open generation's copy leaves its
     /// queue only by starting, which closes the generation, or with its
     /// failed disk.
     live: u32,
-    /// `(local disk, queued id)` per copy; empty while the slot is free.
+    /// `(local disk, queued id)` per copy.
     copies: Vec<(u32, TaskId)>,
-}
-
-impl DupSlab {
-    /// Opens a generation with no copies yet.
-    fn open(&mut self) -> DupId {
-        let slot = self.free.pop().unwrap_or_else(|| {
-            self.gens.push(DupGen::default());
-            (self.gens.len() - 1) as u32
-        });
-        DupId {
-            slot,
-            tag: self.gens[slot as usize].tag,
-        }
-    }
-
-    /// Records the copy of `g` queued as `id` on local disk `l`.
-    fn add(&mut self, g: DupId, l: usize, id: TaskId) {
-        if let Some(e) = self.get_mut(g) {
-            e.copies.push((l as u32, id));
-            e.live += 1;
-        }
-    }
-
-    /// `g`'s record while it is open.
-    fn get(&self, g: DupId) -> Option<&DupGen> {
-        self.gens.get(g.slot as usize).filter(|e| e.tag == g.tag)
-    }
-
-    fn get_mut(&mut self, g: DupId) -> Option<&mut DupGen> {
-        self.gens
-            .get_mut(g.slot as usize)
-            .filter(|e| e.tag == g.tag)
-    }
-
-    /// Closes `g` and frees its slot.
-    fn close(&mut self, g: DupId) {
-        if let Some(e) = self.get_mut(g) {
-            e.tag = e.tag.wrapping_add(1);
-            e.live = 0;
-            e.copies.clear();
-            self.free.push(g.slot);
-        }
-    }
-
-    /// One of `g`'s copies left with its failed disk. Returns whether
-    /// another copy covers the read: one started already, or one still
-    /// waits on a live disk. If none does, `g` closes.
-    fn leave(&mut self, g: DupId) -> bool {
-        let Some(e) = self.get_mut(g) else {
-            return true;
-        };
-        e.live = e.live.saturating_sub(1);
-        if e.live > 0 {
-            return true;
-        }
-        self.close(g);
-        false
-    }
 }
 
 /// A captured pop record for the shard-equivalence property tests:
@@ -520,12 +400,11 @@ pub(crate) struct Shard {
     /// from `drives` because [`compact_live_groups`] takes a slice.
     dead: Vec<bool>,
     events: EventQueue<ColEvent>,
-    jobs: JobRing,
-    dups: DupSlab,
-    /// Live parity operations (RAID 4/5 reads, RMWs, stripe writes),
-    /// keyed by operation id; parity task `job` fields hold this id.
-    parity_ops: BTreeMap<u64, ParityOp>,
-    next_parity_op: u64,
+    jobs: Slab<Job>,
+    dups: Slab<DupGen>,
+    /// Live parity operations (RAID 4/5 reads, RMWs, stripe writes);
+    /// parity task `job` fields hold their keys.
+    parity_ops: Slab<ParityOp>,
     /// Per-shard fault context (own named RNG stream, own rebuild state);
     /// `None` for an empty plan.
     pub(crate) faults: Option<Box<FaultCtx>>,
@@ -545,13 +424,11 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// Builds the shard for mirror group `group` of an `ndisks`-disk
-    /// array. Per-disk RNG streams are `named_indexed` by **global** disk
-    /// index, so the disk population is identical at any shard count and
-    /// independent of construction order.
+    /// Builds the shard for mirror group `group`. Per-disk RNG streams are
+    /// `named_indexed` by **global** disk index, so the disk population is
+    /// identical at any shard count and independent of construction order.
     pub(crate) fn new(
         group: usize,
-        ndisks: usize,
         lay: &Layout,
         cfg: &super::EngineConfig,
         geometry: &mimd_disk::Geometry,
@@ -592,7 +469,7 @@ impl Shard {
         let faults = if cfg.faults.is_empty() {
             None
         } else {
-            let ctx = FaultCtx::new(&cfg.faults, cfg.seed, ndisks, group as u64);
+            let ctx = FaultCtx::new(&cfg.faults, cfg.seed, width, group as u64);
             for w in &ctx.plan.fail_slow {
                 if w.disk >= base && w.disk < base + width {
                     drives[w.disk - base]
@@ -614,10 +491,9 @@ impl Shard {
             drives,
             dead: vec![false; width],
             events: EventQueue::new(),
-            jobs: JobRing::default(),
-            dups: DupSlab::default(),
-            parity_ops: BTreeMap::new(),
-            next_parity_op: 0,
+            jobs: Slab::default(),
+            dups: Slab::default(),
+            parity_ops: Slab::default(),
             faults,
             report: RunReport::default(),
             notes: Vec::new(),
@@ -654,6 +530,12 @@ impl Shard {
                 self.events.push(w.until, ColEvent::SlowEnd(w.disk));
             }
         }
+    }
+
+    /// Slots the job slab has allocated: the most jobs ever live at once.
+    #[cfg(test)]
+    pub(crate) fn job_slots(&self) -> usize {
+        self.jobs.slot_count()
     }
 
     /// Whether `disk`, a global index this shard owns, has failed.
@@ -755,7 +637,11 @@ impl Shard {
         } else {
             let fg = write && fg_write;
             let parts = if fg { (reps.len() / self.dr) as u32 } else { 1 };
-            let job = self.jobs.insert(logical, parts);
+            let job = Some(self.jobs.insert(Job {
+                logical,
+                parts,
+                failed: false,
+            }));
             if fg {
                 for replicas in reps.chunks_exact(self.dr) {
                     let disk = replicas[0].disk;
@@ -794,7 +680,7 @@ impl Shard {
     /// Builds a task over `replicas`, reusing a pooled shell.
     fn make_task(
         &mut self,
-        job: u64,
+        job: Option<Key>,
         frag: Fragment,
         write: bool,
         kind: TaskKind,
@@ -821,14 +707,21 @@ impl Shard {
         }
     }
 
-    /// Marks one part of a job done; the job's last part emits its
-    /// completion note to the conductor.
-    fn finish_part(&mut self, now: SimTime, job: u64, failed: bool) {
-        if let Some((logical, any_failed)) = self.jobs.dec(job, failed) {
+    /// Marks one part of a job done; the job's last part removes it and
+    /// emits its completion note to the conductor.
+    fn finish_part(&mut self, now: SimTime, job: Key, failed: bool) {
+        let Some(j) = self.jobs.get_mut(job) else {
+            return;
+        };
+        j.failed |= failed;
+        j.parts = j.parts.saturating_sub(1);
+        if j.parts == 0 {
+            let (logical, failed) = (j.logical, j.failed);
+            self.jobs.remove(job);
             self.notes.push(Note::Part {
                 logical,
                 at: now,
-                failed: any_failed,
+                failed,
             });
         }
     }
@@ -838,7 +731,7 @@ impl Shard {
     /// redirection and a healthy copy exists.
     fn dispatch_mirrored(
         &mut self,
-        job: u64,
+        job: Option<Key>,
         frag: Fragment,
         write: bool,
         kind: TaskKind,
@@ -853,7 +746,7 @@ impl Shard {
                     let mut buf = std::mem::take(&mut ctx.redirect_scratch);
                     buf.clear();
                     for g in groups.chunks_exact(dr) {
-                        if ctx.slow_now.get(g[0].disk).copied().unwrap_or(0) == 0 {
+                        if ctx.slow_now[g[0].disk - self.base] == 0 {
                             buf.extend_from_slice(g);
                         }
                     }
@@ -882,7 +775,7 @@ impl Shard {
     /// heuristic, recording touched local disks for the next kick.
     fn dispatch_groups(
         &mut self,
-        job: u64,
+        job: Option<Key>,
         frag: Fragment,
         write: bool,
         kind: TaskKind,
@@ -934,13 +827,18 @@ impl Shard {
 
         // All owners busy: duplicate into every drive queue; the first
         // disk to start it wins and the rest are cancelled.
-        let dup = self.dups.open();
+        let dup = self.dups.insert(DupGen {
+            live: ngroups as u32,
+            copies: Vec::with_capacity(ngroups),
+        });
         for replicas in groups.chunks_exact(dr) {
             let disk = replicas[0].disk;
             let mut t = self.make_task(job, frag, write, kind, replicas, now);
             t.dup = Some(dup);
             let id = self.enqueue(disk, t);
-            self.dups.add(dup, disk - base, id);
+            if let Some(g) = self.dups.get_mut(dup) {
+                g.copies.push(((disk - base) as u32, id));
+            }
             self.touched.push(disk - base);
         }
     }
@@ -991,7 +889,7 @@ impl Shard {
                 }
             }
         }
-        let t = self.make_task(u64::MAX, frag, true, TaskKind::Delayed, one, now);
+        let t = self.make_task(None, frag, true, TaskKind::Delayed, one, now);
         let d = &mut self.drives[l];
         let id = d.delayed.insert(&d.disk, t);
         if self.coalesce {
@@ -1045,15 +943,14 @@ impl Shard {
             d.delayed_keys
                 .remove(coalesce_key(task.frag.lbn, task.meta));
         }
-        if let Some(g) = task.dup {
+        if let Some(g) = task.dup.and_then(|g| self.dups.remove(g)) {
             // This copy won: queue its siblings for cancellation.
-            for &(m, id) in self.dups.get(g).map_or(&[][..], |e| &e.copies) {
+            for (m, id) in g.copies {
                 let m = m as usize;
                 if m != l && !self.dead[m] {
                     self.drives[m].purge.push(id);
                 }
             }
-            self.dups.close(g);
         }
 
         // Service the chosen target (plus follow-on replicas for a
@@ -1160,7 +1057,9 @@ impl Shard {
                     reps.clear();
                     self.group_scratch = reps;
                 }
-                self.finish_part(now, fly.task.job, false);
+                if let Some(job) = fly.task.job {
+                    self.finish_part(now, job, false);
+                }
             }
         }
         self.recycle(fly.task);
@@ -1254,10 +1153,11 @@ impl Shard {
             self.report.faults.unrecoverable += 1;
         }
         let job = match task.kind {
-            TaskKind::ParityRead | TaskKind::ParityWrite => {
-                self.parity_ops.remove(&task.job).map(|op| op.job)
-            }
-            _ => Some(task.job),
+            TaskKind::ParityRead | TaskKind::ParityWrite => task
+                .job
+                .and_then(|op| self.parity_ops.remove(op))
+                .map(|op| op.job),
+            _ => task.job,
         };
         if let Some(job) = job {
             self.finish_part(now, job, true);
@@ -1282,7 +1182,7 @@ impl Shard {
     /// Tracks a fail-slow window edge and reports the health transition.
     fn on_slow_edge(&mut self, now: SimTime, disk: usize, start: bool) {
         if let Some(ctx) = self.faults.as_mut() {
-            if let Some(c) = ctx.slow_now.get_mut(disk) {
+            if let Some(c) = ctx.slow_now.get_mut(disk - self.base) {
                 if start {
                     *c += 1;
                 } else {
@@ -1330,11 +1230,15 @@ impl Shard {
         let orphans: Vec<PendingTask> = ids.into_iter().filter_map(|id| d.fg.remove(id)).collect();
         for task in orphans {
             if let Some(g) = task.dup {
-                if self.dups.leave(g) {
-                    // A surviving duplicate already ran (or runs)
-                    // elsewhere, or still waits on a live mirror.
+                // A surviving duplicate already ran (or runs) elsewhere,
+                // closing the generation, or still waits on a live mirror.
+                if self.dups.get_mut(g).is_none_or(|e| {
+                    e.live = e.live.saturating_sub(1);
+                    e.live > 0
+                }) {
                     continue;
                 }
+                self.dups.remove(g);
             }
             self.rehome_task(lay, task, now);
         }
@@ -1401,7 +1305,7 @@ impl Shard {
     /// open generation has exactly `live` copies queued on live disks, and
     /// at least one, so a generation whose copies all died is closed.
     fn dups_consistent(&self) -> bool {
-        self.dups.gens.iter().all(|e| {
+        self.dups.values().all(|e| {
             let queued = e
                 .copies
                 .iter()
@@ -1409,7 +1313,7 @@ impl Shard {
                     !self.dead[m as usize] && self.drives[m as usize].fg.get(id).is_some()
                 })
                 .count();
-            queued == e.live as usize && e.copies.is_empty() == (e.live == 0)
+            queued == e.live as usize && e.live > 0
         })
     }
 
@@ -1427,7 +1331,9 @@ impl Shard {
                     .owner_disks(task.frag)
                     .into_iter()
                     .any(|d| !self.is_dead(d));
-                self.finish_part(now, task.job, !any_live);
+                if let Some(job) = task.job {
+                    self.finish_part(now, job, !any_live);
+                }
             }
             TaskKind::Read | TaskKind::WriteFirst => {
                 let mut groups = std::mem::take(&mut self.group_scratch);
@@ -1435,7 +1341,9 @@ impl Shard {
                 lay.write_groups_into(task.frag, &mut groups);
                 compact_live_groups(&mut groups, 0, self.dr, &self.dead, self.base);
                 if groups.is_empty() {
-                    self.finish_part(now, task.job, true);
+                    if let Some(job) = task.job {
+                        self.finish_part(now, job, true);
+                    }
                 } else {
                     self.dispatch_mirrored(
                         task.job, task.frag, task.write, task.kind, &groups, now,
@@ -1448,7 +1356,7 @@ impl Shard {
                 // The whole parity operation replans against the degraded
                 // group; sibling legs still queued elsewhere find the op
                 // gone and no-op on completion.
-                if let Some(op) = self.parity_ops.remove(&task.job) {
+                if let Some(op) = task.job.and_then(|op| self.parity_ops.remove(op)) {
                     self.replan_parity_op(lay, now, op);
                 }
             }
@@ -1545,7 +1453,7 @@ impl Shard {
                 replica: 0,
                 mirror: (disk % dm) as u8,
             };
-            let t = self.make_task(u64::MAX, frag, false, TaskKind::Rebuild, &[read], now);
+            let t = self.make_task(None, frag, false, TaskKind::Rebuild, &[read], now);
             let d = &mut self.drives[disk - self.base];
             d.delayed.insert(&d.disk, t);
         }

@@ -4,8 +4,8 @@
 //!
 //! A parity operation fans a routed fragment out into *legs* — one
 //! [`TaskKind::ParityRead`] / [`TaskKind::ParityWrite`] per member disk —
-//! tracked by a [`ParityOp`] keyed by operation id (each leg carries the
-//! id in its `job` field). A read–modify–write runs in two phases: the
+//! tracked by a [`ParityOp`] in the shard's slab (each leg carries the
+//! op's key in its `job` field). A read–modify–write runs in two phases: the
 //! old-value reads drain, then the buffered write legs issue. A member
 //! failure mid-operation replans the whole op against the degraded group;
 //! orphaned sibling legs find their op gone and no-op on completion.
@@ -24,6 +24,7 @@ use mimd_disk::Target;
 use mimd_sim::SimTime;
 
 use crate::layout::{Fragment, Layout, Replica};
+use crate::slab::Key;
 
 use super::{PendingTask, Shard, TaskKind};
 
@@ -32,7 +33,7 @@ use super::{PendingTask, Shard, TaskKind};
 #[derive(Debug)]
 pub(crate) struct ParityOp {
     /// Owning shard-local job (for the completion note).
-    pub(super) job: u64,
+    pub(super) job: Key,
     /// The original fragment, kept for replanning after a member failure.
     frag: Fragment,
     write: bool,
@@ -50,12 +51,16 @@ impl Shard {
         &mut self,
         lay: &Layout,
         now: SimTime,
-        logical: u64,
+        logical: Key,
         frag: Fragment,
         write: bool,
         stripe: bool,
     ) {
-        let job = self.jobs.insert(logical, 1);
+        let job = self.jobs.insert(super::Job {
+            logical,
+            parts: 1,
+            failed: false,
+        });
         self.plan_parity(lay, now, job, frag, write, stripe);
     }
 
@@ -63,7 +68,7 @@ impl Shard {
         &mut self,
         lay: &Layout,
         now: SimTime,
-        job: u64,
+        job: Key,
         frag: Fragment,
         write: bool,
         stripe: bool,
@@ -77,7 +82,7 @@ impl Shard {
         }
     }
 
-    fn plan_parity_read(&mut self, lay: &Layout, now: SimTime, job: u64, frag: Fragment) {
+    fn plan_parity_read(&mut self, lay: &Layout, now: SimTime, job: Key, frag: Fragment) {
         let Some(loc) = lay.parity_locate(frag) else {
             self.finish_part(now, job, true);
             return;
@@ -105,7 +110,7 @@ impl Shard {
         }
     }
 
-    fn plan_parity_small_write(&mut self, lay: &Layout, now: SimTime, job: u64, frag: Fragment) {
+    fn plan_parity_small_write(&mut self, lay: &Layout, now: SimTime, job: Key, frag: Fragment) {
         let Some(loc) = lay.parity_locate(frag) else {
             self.finish_part(now, job, true);
             return;
@@ -147,7 +152,7 @@ impl Shard {
         }
     }
 
-    fn plan_parity_stripe_write(&mut self, lay: &Layout, now: SimTime, job: u64, frag: Fragment) {
+    fn plan_parity_stripe_write(&mut self, lay: &Layout, now: SimTime, job: Key, frag: Fragment) {
         let Some((group, _row, target)) = lay.parity_stripe(frag) else {
             self.finish_part(now, job, true);
             return;
@@ -171,34 +176,28 @@ impl Shard {
 
     fn new_parity_op(
         &mut self,
-        job: u64,
+        job: Key,
         frag: Fragment,
         write: bool,
         stripe: bool,
         remaining: u32,
         writes: Vec<(usize, Target)>,
-    ) -> u64 {
-        let id = self.next_parity_op;
-        self.next_parity_op += 1;
-        self.parity_ops.insert(
-            id,
-            ParityOp {
-                job,
-                frag,
-                write,
-                stripe,
-                remaining,
-                writes,
-            },
-        );
-        id
+    ) -> Key {
+        self.parity_ops.insert(ParityOp {
+            job,
+            frag,
+            write,
+            stripe,
+            remaining,
+            writes,
+        })
     }
 
     /// Queues one leg of a parity operation on `disk`, recording it for
     /// the caller's next `kick`.
     fn issue_parity_leg(
         &mut self,
-        op: u64,
+        op: Key,
         frag: Fragment,
         write: bool,
         disk: usize,
@@ -216,70 +215,57 @@ impl Shard {
         } else {
             TaskKind::ParityRead
         };
-        let t = self.make_task(op, frag, write, kind, &[leg], now);
+        let t = self.make_task(Some(op), frag, write, kind, &[leg], now);
         self.enqueue(disk, t);
         self.touched.push(disk - self.base);
     }
 
     /// One leg of a parity operation completed on `disk`: count it down,
-    /// and on the last leg either finish the job or flip an RMW into its
-    /// write phase.
+    /// then dispatch the disk's next task.
     pub(super) fn on_parity_done(&mut self, now: SimTime, disk: usize, task: PendingTask) {
-        let l = disk - self.base;
-        let op_id = task.job;
+        let op = task.job;
         self.recycle(task);
-        enum Next {
-            /// More legs outstanding, or an orphan of a replanned op.
-            Wait,
-            Finish(u64),
-            Phase2,
-        }
-        let next = match self.parity_ops.get_mut(&op_id) {
-            None => Next::Wait,
-            Some(op) => {
-                op.remaining -= 1;
-                if op.remaining > 0 {
-                    Next::Wait
-                } else if op.writes.is_empty() {
-                    Next::Finish(op.job)
-                } else {
-                    Next::Phase2
-                }
-            }
-        };
-        match next {
-            Next::Wait => {}
-            Next::Finish(job) => {
-                self.parity_ops.remove(&op_id);
-                self.finish_part(now, job, false);
-            }
-            Next::Phase2 => {
-                // The read phase drained: issue the buffered write legs on
-                // members still alive (a member lost since planning gets
-                // its content back from the rebuild instead).
-                let Some(mut op) = self.parity_ops.remove(&op_id) else {
-                    return;
-                };
-                let writes = std::mem::take(&mut op.writes);
-                let frag = op.frag;
-                let mut issued = 0u32;
-                for (d, t) in writes {
-                    if self.is_dead(d) {
-                        continue;
-                    }
-                    self.issue_parity_leg(op_id, frag, true, d, t, now);
-                    issued += 1;
-                }
-                if issued == 0 {
-                    self.finish_part(now, op.job, true);
-                } else {
-                    op.remaining = issued;
-                    self.parity_ops.insert(op_id, op);
-                }
-            }
+        if let Some(op) = op {
+            self.parity_leg_done(now, op);
         }
         self.kick(now);
-        self.try_dispatch(now, l);
+        self.try_dispatch(now, disk - self.base);
+    }
+
+    /// Counts one leg of `key`'s current phase done. The phase's last leg
+    /// either finishes the job or flips an RMW into its write phase. A leg
+    /// orphaned by a replan finds its op gone and does nothing.
+    fn parity_leg_done(&mut self, now: SimTime, key: Key) {
+        let Some(op) = self.parity_ops.get_mut(key) else {
+            return;
+        };
+        op.remaining -= 1;
+        if op.remaining > 0 {
+            return;
+        }
+        let (job, frag, writes) = (op.job, op.frag, std::mem::take(&mut op.writes));
+        if writes.is_empty() {
+            self.parity_ops.remove(key);
+            self.finish_part(now, job, false);
+            return;
+        }
+        // The read phase drained: issue the buffered write legs on members
+        // still alive (a member lost since planning gets its content back
+        // from the rebuild instead).
+        let mut issued = 0u32;
+        for (d, t) in writes {
+            if self.is_dead(d) {
+                continue;
+            }
+            self.issue_parity_leg(key, frag, true, d, t, now);
+            issued += 1;
+        }
+        if issued == 0 {
+            self.parity_ops.remove(key);
+            self.finish_part(now, job, true);
+        } else if let Some(op) = self.parity_ops.get_mut(key) {
+            op.remaining = issued;
+        }
     }
 
     /// Replans a parity operation after a member failure dropped one of

@@ -346,7 +346,8 @@ pub(crate) struct FaultCtx {
     /// The dedicated fault stream — the only randomness the fault layer
     /// may consume (`fault-determinism` simlint rule).
     pub(crate) rng: SimRng,
-    /// Per-disk count of open fail-slow windows.
+    /// Per-disk count of open fail-slow windows, one entry per disk of the
+    /// owning shard, indexed by `disk - base`.
     pub(crate) slow_now: Vec<u32>,
     /// Active rebuild, if any (one at a time).
     pub(crate) rebuild: Option<RebuildState>,
@@ -362,10 +363,11 @@ pub(crate) struct FaultCtx {
 impl FaultCtx {
     /// Builds the context for a non-empty plan.
     ///
-    /// `shard` indexes the owning engine shard: each shard draws media
-    /// errors from its own member of the `"faults"` stream family, so the
-    /// draw sequence is a pure function of `(seed, shard)` and never
-    /// depends on how work interleaves across shards.
+    /// `disks` is the owning shard's disk count. `shard` indexes the shard
+    /// among the engine's shards: each shard draws media errors from its
+    /// own member of the `"faults"` stream family, so the draw sequence is
+    /// a pure function of `(seed, shard)` and never depends on how work
+    /// interleaves across shards.
     pub(crate) fn new(plan: &FaultPlan, seed: u64, disks: usize, shard: u64) -> FaultCtx {
         FaultCtx {
             plan: plan.clone(),
@@ -378,7 +380,7 @@ impl FaultCtx {
         }
     }
 
-    /// Whether any disk is currently inside a fail-slow window.
+    /// Whether any of the shard's disks is inside a fail-slow window.
     pub(crate) fn any_slow(&self) -> bool {
         self.slow_now.iter().any(|&c| c > 0)
     }

@@ -42,6 +42,7 @@ pub mod faults;
 pub mod layout;
 pub mod models;
 pub mod sched;
+mod slab;
 pub mod tuner;
 
 pub use config::{Shape, ShapeKind};
