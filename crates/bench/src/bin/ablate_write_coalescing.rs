@@ -20,7 +20,7 @@ fn main() {
     spec.sync_daemon_interval = Some(SimDuration::from_secs(5));
     spec.async_write_frac = 0.2;
     spec.read_frac = 0.35;
-    let trace = mimd_bench::shared_trace(&spec, 77, 20_000).scaled(4.0);
+    let trace = spec.generate(77, 20_000).scaled(4.0);
 
     let modes = [("coalescing on", true), ("coalescing off", false)];
     let jobs = modes

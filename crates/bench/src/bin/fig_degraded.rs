@@ -17,7 +17,7 @@
 //!
 //! `MIMD_BENCH_QUICK=1` shrinks both parts for CI smoke runs.
 
-use mimd_bench::{ms, print_table, quick, run_jobs, shared_trace, ExperimentLog, Job, Json};
+use mimd_bench::{ms, print_table, quick, run_jobs, ExperimentLog, Job, Json};
 use mimd_core::{EngineConfig, FaultPlan, RunReport, Shape};
 use mimd_sim::{SimDuration, SimTime};
 use mimd_workload::SyntheticSpec;
@@ -73,7 +73,7 @@ fn window_row(name: &str, s: &mut mimd_sim::SampleSet) -> Vec<String> {
 fn main() {
     let quick = quick();
     let n = if quick { 2_000 } else { 20_000 };
-    let trace = shared_trace(&SyntheticSpec::cello_base(), 101, n);
+    let trace = SyntheticSpec::cello_base().generate(101, n);
     let span = trace
         .requests()
         .last()

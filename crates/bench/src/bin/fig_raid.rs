@@ -19,7 +19,7 @@
 //!
 //! `MIMD_BENCH_QUICK=1` shrinks the sweep for CI smoke runs.
 
-use mimd_bench::{ms, print_table, quick, run_jobs, shared_trace, ExperimentLog, Job, Json};
+use mimd_bench::{ms, print_table, quick, run_jobs, ExperimentLog, Job, Json};
 use mimd_core::models::{mttdl_mirrored, mttdl_parity_array, mttdl_unprotected};
 use mimd_core::{EngineConfig, FaultPlan, ParityConfig, RunReport, Shape};
 use mimd_sim::{SimDuration, SimTime};
@@ -88,7 +88,7 @@ fn main() {
     spec.data_sectors = if quick { 400_000 } else { 1_200_000 };
     spec.rate_per_sec = 20.0;
     let n = if quick { 2_500 } else { 8_000 };
-    let trace = shared_trace(&spec, 73, n);
+    let trace = spec.generate(73, n);
     let fail_at = SimTime::from_secs(if quick { 30 } else { 60 });
     let panel = scenarios(fail_at);
     let orgs = orgs();

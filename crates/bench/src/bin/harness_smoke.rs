@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use mimd_bench::{shared_trace, Job, Json};
+use mimd_bench::{Job, Json};
 use mimd_core::{EngineConfig, Policy, Shape};
 use mimd_harness::{report_json, run_jobs_on, write_json, RunCache};
 use mimd_workload::{IometerSpec, SyntheticSpec, Trace};
@@ -55,7 +55,7 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     // Generated once per process and replayed by every trace job below.
-    let trace = shared_trace(&SyntheticSpec::cello_base(), 7, 2_000);
+    let trace = SyntheticSpec::cello_base().generate(7, 2_000);
     let n_jobs = jobs(&trace).len();
     println!("harness smoke: {n_jobs} jobs, {cores} core(s) available");
 

@@ -30,7 +30,7 @@ fn main() {
         let mut spec = SyntheticSpec::cello_base();
         spec.data_sectors = data_sectors;
         spec.hot_blocks = 4_000;
-        mimd_bench::shared_trace(&spec, 71, 8_000)
+        spec.generate(71, 8_000)
     };
 
     let cfg_for = |params: &DiskParams, s: Shape| {

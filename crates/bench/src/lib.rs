@@ -5,14 +5,12 @@
 //! share: canonical workload construction, run helpers, and plain-text
 //! series printing so the output reads like the paper's figures.
 
-use std::sync::Arc;
-
 use mimd_core::models::DiskCharacter;
 use mimd_core::{RunReport, Shape};
 use mimd_disk::DiskParams;
 use mimd_workload::{SyntheticSpec, Trace};
 
-pub use mimd_harness::{run_jobs, shared_trace, Job, Json};
+pub use mimd_harness::{run_jobs, Job, Json};
 
 /// Canonical request counts, sized so every binary finishes in seconds
 /// while staying deep in steady state.
@@ -24,27 +22,24 @@ pub mod sizes {
 }
 
 /// The three paper workloads at canonical sizes (deterministic seeds).
-///
-/// The traces come from the process-wide shared registry
-/// ([`mimd_harness::shared_trace`]): every `generate()` call in a binary
-/// returns the same `Arc`-shared storage, so each stream is generated at
-/// most once per process no matter how many figures ask for it.
 pub struct Workloads {
     /// Cello minus the news disk.
-    pub cello_base: Arc<Trace>,
+    pub cello_base: Trace,
     /// The news disk.
-    pub cello_disk6: Arc<Trace>,
+    pub cello_disk6: Trace,
     /// The TPC-C disk trace.
-    pub tpcc: Arc<Trace>,
+    pub tpcc: Trace,
 }
 
 impl Workloads {
-    /// The three shared traces (generated on first use per process).
+    /// Generates the three traces; a binary calls this once and lends
+    /// them to its jobs.
     pub fn generate() -> Workloads {
+        let n = sizes::TRACE_REQUESTS;
         Workloads {
-            cello_base: shared_trace(&SyntheticSpec::cello_base(), 101, sizes::TRACE_REQUESTS),
-            cello_disk6: shared_trace(&SyntheticSpec::cello_disk6(), 102, sizes::TRACE_REQUESTS),
-            tpcc: shared_trace(&SyntheticSpec::tpcc(), 103, sizes::TRACE_REQUESTS),
+            cello_base: SyntheticSpec::cello_base().generate(101, n),
+            cello_disk6: SyntheticSpec::cello_disk6().generate(102, n),
+            tpcc: SyntheticSpec::tpcc().generate(103, n),
         }
     }
 }

@@ -107,6 +107,9 @@ pub struct CacheConfig {
 }
 
 /// Full configuration of an array simulation.
+///
+/// Its derived `Debug` form is the run cache's identity for the config
+/// (`mimd_harness::fp`), so it must stay derived.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Array shape `Ds × Dr × Dm`.

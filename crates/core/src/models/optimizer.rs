@@ -11,7 +11,7 @@
 use crate::config::Shape;
 
 use super::latency::{optimal_rw_aspect, rw_latency};
-use super::throughput::{optimal_throughput_aspect, predict_throughput_iops};
+use super::throughput::optimal_throughput_aspect;
 use super::DiskCharacter;
 
 /// The paper's prototype cap on rotational replication (§4.1).
@@ -80,21 +80,6 @@ pub fn best_latency_shape_by_model(c: &DiskCharacter, d: u32, p: f64) -> (Shape,
         .into_iter()
         .map(|s| (s, rw_latency(c, s.ds, s.dr, p)))
         .min_by(|a, b| a.1.partial_cmp(&b.1).expect("latency is finite"))
-        .expect("at least the striping shape exists")
-}
-
-/// Brute force: the SR-Array shape maximising predicted throughput
-/// (Equations (12)–(16)) at `q_total` outstanding requests.
-pub fn best_throughput_shape_by_model(
-    c: &DiskCharacter,
-    d: u32,
-    p: f64,
-    q_total: f64,
-) -> (Shape, f64) {
-    Shape::enumerate_sr(d, MAX_DR)
-        .into_iter()
-        .map(|s| (s, predict_throughput_iops(c, s.ds, s.dr, p, q_total)))
-        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("throughput is finite"))
         .expect("at least the striping shape exists")
 }
 

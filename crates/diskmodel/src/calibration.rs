@@ -294,13 +294,6 @@ impl HeadTracker {
         let dt = t.as_nanos() as f64 - self.fit_t0_ns;
         Some(mod1(self.reference_angle + dt / self.period_ns))
     }
-
-    /// Predicted wait from `t` until the platter reaches `target` phase.
-    pub fn predict_wait(&self, t: SimTime, target: f64) -> Option<SimDuration> {
-        let cur = self.predict_angle(t)?;
-        let delta = mod1(target - cur);
-        Some(SimDuration::from_nanos((delta * self.period_ns) as u64))
-    }
 }
 
 /// The recalibration schedule: intervals grow geometrically from

@@ -14,11 +14,10 @@
 //! - [`Json`] is a hand-rolled serializer (the workspace builds offline),
 //!   and [`write_json`] drops experiment records under `MIMD_JSON_DIR`
 //!   (default `target/experiments/`) for the perf trajectory.
-//! - [`RunCache`] memoizes completed runs content-addressed by structural
-//!   fingerprint ([`fp`]) under `MIMD_CACHE_DIR`; unchanged re-runs decode
-//!   stored bytes instead of simulating (`MIMD_NO_CACHE=1` opts out).
-//! - [`shared_trace`] generates each workload stream once per process and
-//!   shares it across jobs via `Arc`.
+//! - [`RunCache`] memoizes completed runs under `MIMD_CACHE_DIR`, keyed by
+//!   a hash of each job's derived `Debug` form and trace content ([`fp`]);
+//!   unchanged re-runs decode stored bytes instead of simulating
+//!   (`MIMD_NO_CACHE=1` opts out).
 
 pub mod cache;
 pub mod fp;
@@ -27,13 +26,11 @@ mod grid;
 mod job;
 mod json;
 mod pool;
-mod workload;
 
 pub use cache::{cache_dir, code_fingerprint, RunCache};
 pub use job::{report_json, run_jobs, run_jobs_on, Job};
 pub use json::Json;
 pub use pool::{configured_threads, engine_threads, parallel_map, parallel_map_with, shard_budget};
-pub use workload::shared_trace;
 
 use std::io::Write as _;
 use std::path::PathBuf;

@@ -14,12 +14,16 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use mimd_core::{EngineConfig, MirrorPolicy, Policy, ReplicaPlacement, Shape, WriteMode};
+use mimd_core::{
+    CacheConfig, EngineConfig, FaultPlan, MirrorPolicy, ParityConfig, Policy, ReplicaPlacement,
+    Shape, WriteMode,
+};
+use mimd_disk::{PositionKnowledge, TimingPath};
 use mimd_harness::fp;
 use mimd_harness::{report_json, run_jobs_on, Job, RunCache};
 use mimd_sim::check::{case_seed, check_cases};
-use mimd_sim::{SimDuration, SimRng};
-use mimd_workload::{IometerSpec, SyntheticSpec, Trace};
+use mimd_sim::{SimDuration, SimRng, SimTime};
+use mimd_workload::{Access, IometerSpec, SyntheticSpec, Trace};
 
 fn temp_cache_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mimd-cache-prop-{tag}-{}", std::process::id()));
@@ -158,83 +162,181 @@ fn warm_rerun_is_byte_identical_to_cold() {
     });
 }
 
+type Mutation<T> = (&'static str, fn(&mut T));
+
+/// Applies each mutation to a clone of `base` and asserts that every
+/// result, and `base` itself, has its own digest.
+fn assert_each_flip_is_seen<T: Clone>(
+    base: &T,
+    mutations: &[Mutation<T>],
+    digest: impl Fn(&T) -> u64,
+) -> BTreeSet<u64> {
+    let mut digests = BTreeSet::new();
+    assert!(digests.insert(digest(base)));
+    for (name, mutate) in mutations {
+        let mut value = base.clone();
+        mutate(&mut value);
+        assert!(
+            digests.insert(digest(&value)),
+            "flipping `{name}` did not change the fingerprint"
+        );
+    }
+    digests
+}
+
+fn at_ms(ms: u64) -> SimTime {
+    SimTime::ZERO + SimDuration::from_millis(ms)
+}
+
+fn cache_of(bytes: u64, hit_us: u64) -> Option<CacheConfig> {
+    Some(CacheConfig {
+        bytes,
+        hit_time: SimDuration::from_micros(hit_us),
+    })
+}
+
 #[test]
 fn every_config_field_flip_changes_the_fingerprint() {
     let trace = SyntheticSpec::cello_base().generate(11, 60);
     let base = EngineConfig::new(Shape::sr_array(2, 3).unwrap());
-    type Mutation = (&'static str, Box<dyn Fn(&mut EngineConfig)>);
-    let mutations: Vec<Mutation> = vec![
-        ("seed", Box::new(|c| c.seed ^= 1)),
-        ("policy", Box::new(|c| c.policy = Policy::Fcfs)),
-        (
-            "write_mode",
-            Box::new(|c| c.write_mode = WriteMode::Foreground),
-        ),
-        ("stripe_unit", Box::new(|c| c.stripe_unit += 8)),
-        (
-            "mirror_stagger",
-            Box::new(|c| c.mirror_stagger = !c.mirror_stagger),
-        ),
-        (
-            "sync_spindles",
-            Box::new(|c| c.sync_spindles = !c.sync_spindles),
-        ),
-        (
-            "mirror_policy",
-            Box::new(|c| c.mirror_policy = MirrorPolicy::Static),
-        ),
-        ("nvram_threshold", Box::new(|c| c.nvram_threshold += 1)),
-        (
-            "coalesce_delayed",
-            Box::new(|c| c.coalesce_delayed = !c.coalesce_delayed),
-        ),
-        (
-            "slack",
-            Box::new(|c| c.slack += SimDuration::from_micros(1)),
-        ),
-        (
-            "replica_placement",
-            Box::new(|c| c.replica_placement = ReplicaPlacement::Random),
-        ),
-        ("read_ahead", Box::new(|c| c.read_ahead = !c.read_ahead)),
-        ("rpm", Box::new(|c| c.disk_params.rpm += 60)),
-        (
-            "track_skew",
-            Box::new(|c| c.disk_params.track_skew_frac += 0.01),
-        ),
-        (
-            "faults",
-            Box::new(|c| {
-                c.faults = mimd_core::FaultPlan::new()
-                    .fail_stop(0, mimd_sim::SimTime::ZERO + SimDuration::from_millis(500))
-            }),
-        ),
-        (
-            "faults_retry",
-            Box::new(|c| {
-                c.faults = mimd_core::FaultPlan::new().retry(
-                    SimDuration::from_millis(40),
-                    3,
-                    SimDuration::from_millis(320),
-                )
-            }),
-        ),
+    let mutations: &[Mutation<EngineConfig>] = &[
+        ("shape", |c| c.shape = Shape::sr_array(3, 2).unwrap()),
+        ("seed", |c| c.seed ^= 1),
+        ("policy", |c| c.policy = Policy::Fcfs),
+        ("write_mode", |c| c.write_mode = WriteMode::Foreground),
+        ("timing", |c| c.timing = TimingPath::Analytic),
+        ("knowledge", |c| c.knowledge = PositionKnowledge::Perfect),
+        ("knowledge_mean", |c| {
+            c.knowledge = PositionKnowledge::Tracked {
+                mean_error_us: 4.0,
+                std_error_us: 31.0,
+            }
+        }),
+        ("knowledge_std", |c| {
+            c.knowledge = PositionKnowledge::Tracked {
+                mean_error_us: 3.0,
+                std_error_us: 32.0,
+            }
+        }),
+        ("stripe_unit", |c| c.stripe_unit += 8),
+        ("mirror_stagger", |c| c.mirror_stagger = !c.mirror_stagger),
+        ("sync_spindles", |c| c.sync_spindles = !c.sync_spindles),
+        ("mirror_policy", |c| c.mirror_policy = MirrorPolicy::Static),
+        ("nvram_threshold", |c| c.nvram_threshold += 1),
+        ("coalesce_delayed", |c| {
+            c.coalesce_delayed = !c.coalesce_delayed
+        }),
+        ("cache", |c| c.cache = cache_of(1 << 20, 100)),
+        ("cache_bytes", |c| c.cache = cache_of(2 << 20, 100)),
+        ("cache_hit_time", |c| c.cache = cache_of(1 << 20, 200)),
+        ("slack", |c| c.slack += SimDuration::from_micros(1)),
+        ("replica_placement", |c| {
+            c.replica_placement = ReplicaPlacement::Random
+        }),
+        ("read_ahead", |c| c.read_ahead = !c.read_ahead),
+        ("model", |c| c.disk_params.model = "other"),
+        ("rpm", |c| c.disk_params.rpm += 60),
+        ("surfaces", |c| c.disk_params.surfaces += 1),
+        ("sector_bytes", |c| c.disk_params.sector_bytes *= 2),
+        ("zone_count", |c| c.disk_params.zones.truncate(1)),
+        ("zone_cylinders", |c| c.disk_params.zones[0].cylinders += 1),
+        ("zone_sectors", |c| {
+            c.disk_params.zones[0].sectors_per_track += 1
+        }),
+        ("track_skew", |c| c.disk_params.track_skew_frac += 0.01),
+        ("min_seek", |c| {
+            c.disk_params.min_seek += SimDuration::from_micros(1)
+        }),
+        ("avg_seek", |c| {
+            c.disk_params.avg_seek += SimDuration::from_micros(1)
+        }),
+        ("max_seek", |c| {
+            c.disk_params.max_seek += SimDuration::from_micros(1)
+        }),
+        ("write_settle", |c| {
+            c.disk_params.write_settle += SimDuration::from_micros(1)
+        }),
+        ("head_switch", |c| {
+            c.disk_params.head_switch += SimDuration::from_micros(1)
+        }),
+        ("overhead", |c| {
+            c.disk_params.overhead += SimDuration::from_micros(1)
+        }),
+        ("faults", |c| {
+            c.faults = FaultPlan::new().fail_stop(0, at_ms(500))
+        }),
+        ("fail_stop_spare", |c| {
+            c.faults = FaultPlan::new().fail_stop_with_spare(0, at_ms(500))
+        }),
+        ("fail_slow", |c| {
+            c.faults = FaultPlan::new().fail_slow(0, at_ms(100), at_ms(900), 4.0)
+        }),
+        ("fail_slow_factor", |c| {
+            c.faults = FaultPlan::new().fail_slow(0, at_ms(100), at_ms(900), 5.0)
+        }),
+        ("media_read", |c| {
+            c.faults = FaultPlan::new().media_errors(0.01, 0.0)
+        }),
+        ("media_write", |c| {
+            c.faults = FaultPlan::new().media_errors(0.0, 0.01)
+        }),
+        ("faults_retry", |c| {
+            c.faults = FaultPlan::new().retry(
+                SimDuration::from_millis(40),
+                3,
+                SimDuration::from_millis(320),
+            )
+        }),
+        ("redirect", |c| {
+            c.faults = FaultPlan::new().redirect_slow_reads()
+        }),
+        ("rebuild_delay", |c| {
+            c.faults.rebuild.spare_delay += SimDuration::from_micros(1)
+        }),
+        ("rebuild_chunk", |c| c.faults.rebuild.chunk_sectors += 8),
+        ("parity", |c| c.parity = Some(ParityConfig::raid4(2))),
+        ("parity_level", |c| c.parity = Some(ParityConfig::raid5(2))),
+        ("parity_group", |c| c.parity = Some(ParityConfig::raid4(3))),
     ];
-    let mut digests = BTreeSet::new();
-    assert!(digests.insert(fp::trace_job(&base, &trace)));
-    for (name, mutate) in &mutations {
-        let mut cfg = base.clone();
-        mutate(&mut cfg);
-        assert!(
-            digests.insert(fp::trace_job(&cfg, &trace)),
-            "flipping `{name}` did not change the fingerprint"
-        );
-    }
+    let mut digests = assert_each_flip_is_seen(&base, mutations, |cfg| fp::trace_job(cfg, &trace));
     // Workload flips miss too: different content, same config.
     let other = SyntheticSpec::cello_base().generate(12, 60);
     assert!(digests.insert(fp::trace_job(&base, &other)));
     let shorter = trace.truncated(59);
     assert!(digests.insert(fp::trace_job(&base, &shorter)));
+}
+
+/// A closed-loop job's identity: its config, its generator spec, and the
+/// loop's parameters.
+#[derive(Clone)]
+struct ClosedKey {
+    cfg: EngineConfig,
+    spec: IometerSpec,
+    outstanding: usize,
+    completions: u64,
+}
+
+#[test]
+fn every_closed_loop_field_flip_changes_the_fingerprint() {
+    let base = ClosedKey {
+        cfg: EngineConfig::new(Shape::sr_array(2, 3).unwrap()),
+        spec: IometerSpec::random_read_512(CLOSED_DATA),
+        outstanding: 4,
+        completions: 100,
+    };
+    let mutations: &[Mutation<ClosedKey>] = &[
+        ("config", |k| k.cfg.seed ^= 1),
+        ("read_frac", |k| k.spec.read_frac = 0.5),
+        ("sectors", |k| k.spec.sectors += 1),
+        ("data_sectors", |k| k.spec.data_sectors += 1),
+        ("seek_locality", |k| k.spec.seek_locality = 3.0),
+        ("access", |k| k.spec.access = Access::Sequential),
+        ("outstanding", |k| k.outstanding += 1),
+        ("completions", |k| k.completions += 1),
+    ];
+    assert_each_flip_is_seen(&base, mutations, |k| {
+        fp::closed_job(&k.cfg, &k.spec, k.outstanding, k.completions)
+    });
 }
 
 #[test]
@@ -243,8 +345,8 @@ fn faulted_grids_replay_byte_identical_at_any_thread_count() {
     // (single-threaded) simulator, so the harness thread count cannot
     // leak into results — and a warm cache replay returns the same bytes.
     let trace = SyntheticSpec::cello_base().generate(21, 120);
-    let faults = mimd_core::FaultPlan::new()
-        .fail_stop(0, mimd_sim::SimTime::from_secs(2))
+    let faults = FaultPlan::new()
+        .fail_stop(0, SimTime::from_secs(2))
         .media_errors(0.02, 0.0)
         .retry(
             SimDuration::from_millis(50),

@@ -19,8 +19,8 @@
 //!   bijectivity, replica spacing — that the static `simlint` pass cannot
 //!   see.
 //! - [`stats`]: streaming statistics ([`OnlineStats`]), exact percentile
-//!   summaries ([`SampleSet`]), latency histograms ([`Histogram`]), and the
-//!   Ruemmler–Wilkes *demerit figure* used by the paper's Table 2.
+//!   summaries ([`SampleSet`]), and the Ruemmler–Wilkes *demerit figure*
+//!   used by the paper's Table 2.
 //! - [`witness`]: an order-sensitive digest ([`witness::DetWitness`]) of
 //!   the event pops a run makes, so CI can assert serial and threaded
 //!   runs processed events in the identical order.
@@ -47,6 +47,6 @@ pub mod witness;
 
 pub use event::EventQueue;
 pub use rng::SimRng;
-pub use stats::{demerit, Histogram, OnlineStats, SampleSet};
+pub use stats::{demerit, OnlineStats, SampleSet};
 pub use time::{SimDuration, SimTime};
 pub use witness::DetWitness;

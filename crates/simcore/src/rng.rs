@@ -204,23 +204,6 @@ impl SimRng {
     pub fn normal_at_least(&mut self, mean: f64, std_dev: f64, floor: f64) -> f64 {
         self.normal(mean, std_dev).max(floor)
     }
-
-    /// Pareto variate with scale `x_min` and shape `alpha`.
-    ///
-    /// Used for heavy-tailed idle-period lengths in the Cello-like
-    /// generator.
-    pub fn pareto(&mut self, x_min: f64, alpha: f64) -> f64 {
-        debug_assert!(x_min > 0.0 && alpha > 0.0);
-        x_min / self.unit_open().powf(1.0 / alpha)
-    }
-
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            slice.swap(i, j);
-        }
-    }
 }
 
 /// A Zipf(θ) sampler over ranks `0..n`.
@@ -430,23 +413,5 @@ mod tests {
         assert!(Zipf::new(0, 1.0).is_none());
         assert!(Zipf::new(10, -1.0).is_none());
         assert!(Zipf::new(10, f64::NAN).is_none());
-    }
-
-    #[test]
-    fn pareto_respects_scale() {
-        let mut rng = SimRng::seed_from(31);
-        for _ in 0..10_000 {
-            assert!(rng.pareto(2.0, 1.5) >= 2.0);
-        }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::seed_from(37);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<u32>>());
     }
 }

@@ -1,13 +1,11 @@
 //! Streaming and batch statistics for experiment reporting.
 //!
-//! Three tools cover everything the paper's tables and figures need:
+//! Two tools cover everything the paper's tables and figures need:
 //!
 //! - [`OnlineStats`]: Welford-style single-pass mean/variance/extremes, used
 //!   for response-time aggregation during long trace replays.
 //! - [`SampleSet`]: retains raw samples for exact percentiles and for the
 //!   [`demerit`] figure of Table 2.
-//! - [`Histogram`]: fixed-width binning for distribution sketches in the
-//!   experiment printouts.
 
 /// Single-pass mean / variance / min / max accumulator (Welford's method).
 ///
@@ -305,94 +303,6 @@ pub fn demerit(a: &mut SampleSet, b: &mut SampleSet) -> f64 {
     (acc / probes as f64).sqrt()
 }
 
-/// A fixed-width histogram over `[lo, hi)` with overflow/underflow bins.
-///
-/// # Examples
-///
-/// ```
-/// use mimd_sim::Histogram;
-///
-/// let mut h = Histogram::new(0.0, 10.0, 10).unwrap();
-/// h.record(3.5);
-/// h.record(3.9);
-/// assert_eq!(h.bin_count(3), 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins spanning `[lo, hi)`.
-    ///
-    /// Returns `None` if `lo >= hi`, `bins == 0`, or the bounds are not
-    /// finite.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Option<Self> {
-        if !(lo.is_finite() && hi.is_finite()) || lo >= hi || bins == 0 {
-            return None;
-        }
-        Some(Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        })
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let w = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = (((x - self.lo) / w) as usize).min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Count in bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bin_count(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-
-    /// Number of bins.
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// Samples below `lo`.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Samples at or above `hi`.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total recorded samples including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.underflow + self.overflow + self.bins.iter().sum::<u64>()
-    }
-
-    /// Lower edge of bin `i`.
-    pub fn bin_lo(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        self.lo + w * i as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,31 +424,5 @@ mod tests {
         }
         // Same underlying uniform distribution, different resolutions.
         assert!(demerit(&mut a, &mut b) < 0.02);
-    }
-
-    #[test]
-    fn histogram_bins_and_edges() {
-        let mut h = Histogram::new(0.0, 100.0, 10).unwrap();
-        h.record(-1.0);
-        h.record(0.0);
-        h.record(99.999);
-        h.record(100.0);
-        h.record(55.0);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.bin_count(0), 1);
-        assert_eq!(h.bin_count(9), 1);
-        assert_eq!(h.bin_count(5), 1);
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.bin_lo(5), 50.0);
-        assert_eq!(h.num_bins(), 10);
-    }
-
-    #[test]
-    fn histogram_rejects_bad_bounds() {
-        assert!(Histogram::new(1.0, 1.0, 4).is_none());
-        assert!(Histogram::new(2.0, 1.0, 4).is_none());
-        assert!(Histogram::new(0.0, 1.0, 0).is_none());
-        assert!(Histogram::new(f64::NAN, 1.0, 4).is_none());
     }
 }

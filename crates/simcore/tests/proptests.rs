@@ -2,7 +2,7 @@
 //! in-repo harness (`mimd_sim::check`).
 
 use mimd_sim::check::{check_cases, f64_in};
-use mimd_sim::{demerit, EventQueue, Histogram, OnlineStats, SampleSet, SimDuration, SimTime};
+use mimd_sim::{demerit, EventQueue, OnlineStats, SampleSet, SimDuration, SimTime};
 
 #[test]
 fn event_queue_pops_sorted_and_stable() {
@@ -197,21 +197,6 @@ fn demerit_is_symmetric_and_detects_shift() {
             (d1 - shift).abs() < 1e-6 + shift * 1e-9,
             "d1 {d1} shift {shift}"
         );
-    });
-}
-
-#[test]
-fn histogram_conserves_counts() {
-    check_cases("histogram conserves counts", 256, |_, rng| {
-        let n = rng.below(300) as usize;
-        let data: Vec<f64> = (0..n).map(|_| f64_in(rng, -50.0, 150.0)).collect();
-        let mut h = Histogram::new(0.0, 100.0, 10).expect("valid bins");
-        for &x in &data {
-            h.record(x);
-        }
-        assert_eq!(h.total(), data.len() as u64);
-        let binned: u64 = (0..h.num_bins()).map(|i| h.bin_count(i)).sum();
-        assert_eq!(binned + h.underflow() + h.overflow(), data.len() as u64);
     });
 }
 

@@ -21,6 +21,9 @@ pub enum Access {
 }
 
 /// Specification of an Iometer-like closed-loop workload.
+///
+/// Its derived `Debug` form is the run cache's identity for the spec
+/// (`mimd_harness::fp`), so it must stay derived.
 #[derive(Debug, Clone, Copy)]
 pub struct IometerSpec {
     /// Fraction of requests that are reads; the rest are synchronous
