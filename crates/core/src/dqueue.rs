@@ -1048,11 +1048,11 @@ mod tests {
         };
         let id = dq.insert(&d, e.clone());
         assert!(dq.remove(id).is_some());
-        // Double-remove is a no-op, and a recycled slot gets a fresh gen.
+        // Double-remove is a no-op, and a reused slot gets a fresh gen.
         assert!(dq.remove(id).is_none());
         assert!(!dq.replace_with(&d, id, |_| {}));
         let id2 = dq.insert(&d, e);
-        assert_eq!(id2.slot, id.slot, "slot is recycled");
+        assert_eq!(id2.slot, id.slot, "slot is reused");
         assert_ne!(id2.gen, id.gen, "generation advances");
         assert!(dq.get(id).is_none());
         assert!(dq.get(id2).is_some());

@@ -49,8 +49,11 @@
 //! request's fragments on a shard before it dispatches. An uncached
 //! replay therefore gives the same events in either mode.
 //!
-//! Construct one `ArraySim` per experiment run; `run_trace` (open loop) and
-//! `run_closed_loop` (Iometer-style) both consume the instance's state.
+//! An `ArraySim` runs once. `run_trace` (open loop) or `run_closed_loop`
+//! (Iometer-style) drives it from time zero, and a second run panics:
+//! trace arrivals are absolute instants, so a reused clock would put them
+//! in the past. Build a new `ArraySim` for every run; `drain_background`
+//! may follow the run.
 
 pub mod cache;
 mod flat;
@@ -66,7 +69,7 @@ use mimd_workload::{IometerSpec, Op, Trace};
 use crate::config::Shape;
 use crate::faults::FaultPlan;
 use crate::layout::{
-    Fragment, Layout, LayoutError, ParityConfig, Replica, ReplicaPlacement, DEFAULT_STRIPE_UNIT,
+    Fragment, Layout, LayoutError, ParityConfig, ReplicaPlacement, DEFAULT_STRIPE_UNIT,
 };
 use crate::sched::Policy;
 use crate::slab::{Key, Slab};
@@ -124,8 +127,6 @@ pub struct EngineConfig {
     pub timing: TimingPath,
     /// Head-position knowledge (perfect vs software-tracked).
     pub knowledge: PositionKnowledge,
-    /// Stripe unit in sectors.
-    pub stripe_unit: u32,
     /// Stagger mirror copies rotationally (§2.5 striped mirror).
     pub mirror_stagger: bool,
     /// Synchronise spindles across disks (else random phase offsets).
@@ -177,7 +178,6 @@ impl EngineConfig {
                 mean_error_us: 3.0,
                 std_error_us: 31.0,
             },
-            stripe_unit: DEFAULT_STRIPE_UNIT,
             mirror_stagger: false,
             sync_spindles: false,
             mirror_policy: MirrorPolicy::IdleOrDuplicate,
@@ -242,36 +242,6 @@ impl EngineConfig {
 /// Bound on how many queued entries a policy examines per decision, keeping
 /// scheduling cost finite in saturated (beyond-knee) open-loop runs.
 pub(crate) const SCHED_WINDOW: usize = 128;
-
-/// Recycled task shells kept at most this many; beyond it, completed
-/// tasks drop their buffers instead of hoarding them.
-pub(crate) const TASK_POOL_CAP: usize = 256;
-
-/// Compacts `reps[start..]` — runs of `dr` replicas sharing one disk —
-/// down to the runs whose disk is still alive, preserving order. `dead`
-/// covers the disks from global index `base` on.
-pub(crate) fn compact_live_groups(
-    reps: &mut Vec<Replica>,
-    start: usize,
-    dr: usize,
-    dead: &[bool],
-    base: usize,
-) {
-    let mut w = start;
-    let mut r = start;
-    while r < reps.len() {
-        if !dead[reps[r].disk - base] {
-            if w != r {
-                for k in 0..dr {
-                    reps[w + k] = reps[r + k];
-                }
-            }
-            w += dr;
-        }
-        r += dr;
-    }
-    reps.truncate(w);
-}
 
 /// One live logical request. `Option<Logical>` packs into the record's
 /// own bytes (`op` and `failed` leave spare bit patterns), so a slab slot
@@ -383,6 +353,8 @@ pub struct ArraySim {
     faults_active: bool,
     parallelism: usize,
     last_run_events: u64,
+    /// Whether a run (or a drain) has reported; a second run is refused.
+    ran: bool,
 }
 
 impl ArraySim {
@@ -393,7 +365,7 @@ impl ArraySim {
             cfg.shape,
             &geometry,
             data_sectors,
-            cfg.stripe_unit,
+            DEFAULT_STRIPE_UNIT,
             cfg.mirror_stagger,
         )?
         .with_placement(cfg.replica_placement);
@@ -441,6 +413,7 @@ impl ArraySim {
             faults_active,
             parallelism: 1,
             last_run_events: 0,
+            ran: false,
         })
     }
 
@@ -453,8 +426,9 @@ impl ArraySim {
         self.parallelism = workers.max(1);
     }
 
-    /// Event pops across all shards and the conductor during the last
-    /// completed run — the throughput denominator for engine scaling.
+    /// Event pops across all shards and the conductor during the run, or
+    /// during the drain that followed it — the throughput denominator for
+    /// engine scaling.
     pub fn last_run_events(&self) -> u64 {
         self.last_run_events
     }
@@ -496,32 +470,32 @@ impl ArraySim {
         self.shards.iter().map(|s| s.nvram.count).sum()
     }
 
-    /// Drains all pending background propagation to completion and returns
-    /// the number of replica writes performed.
+    /// Drains all pending background propagation to completion after a
+    /// run and reports what the drain did: `delayed_propagated` counts the
+    /// replica writes performed, and `completed` the requests the drain
+    /// finished (a closed loop stops with requests still in flight, and
+    /// a drain does not replenish them).
     ///
     /// This is §3.4's crash-recovery path made explicit: the NVRAM table
     /// records which replicas still need copies, and recovery replays them
     /// — no data buffer needed, because the first copy of each write is
     /// already durable on disk.
-    pub fn drain_background(&mut self) -> u64 {
+    pub fn drain_background(&mut self) -> RunReport {
         let at = self.last_completion;
-        let mut total = 0u64;
         for c in 0..self.shards.len() {
-            let s = &mut self.shards[c];
-            let before = s.report.delayed_propagated;
-            s.drain(&self.layout, at);
-            total += s.report.delayed_propagated - before;
+            self.shards[c].drain(&self.layout, at);
             self.touched(c);
         }
         self.pump_notes();
-        total
+        self.finish_report()
     }
 
-    /// Arms the shards' fault plans (idempotent).
-    fn arm_failures(&mut self) {
-        for s in &mut self.shards {
-            s.arm();
-        }
+    /// Refuses a second run: see the module docs.
+    fn start_run(&self) {
+        assert!(
+            !self.ran,
+            "an ArraySim runs once; build a new ArraySim for every run"
+        );
     }
 
     /// The planned layout (for inspection).
@@ -533,8 +507,12 @@ impl ArraySim {
     /// memory cache the replay runs structured (shards in parallel); with
     /// one it runs interleaved, since cache hits are a cross-shard
     /// feedback path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this simulator has already run.
     pub fn run_trace(&mut self, trace: &Trace) -> RunReport {
-        self.arm_failures();
+        self.start_run();
         if self.cache.is_none() {
             self.run_structured(trace)
         } else {
@@ -545,13 +523,17 @@ impl ArraySim {
     /// Runs an Iometer-style closed loop: keeps `outstanding` requests in
     /// flight until `completions` requests have finished. Always
     /// interleaved — replenishment is inherently global feedback.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this simulator has already run.
     pub fn run_closed_loop(
         &mut self,
         spec: &IometerSpec,
         outstanding: usize,
         completions: u64,
     ) -> RunReport {
-        self.arm_failures();
+        self.start_run();
         self.closed_loop = Some(ClosedLoop {
             spec: *spec,
             target: completions,
@@ -611,8 +593,8 @@ impl ArraySim {
     /// order at equal instants is fixed — arrival, then conductor, then
     /// shards by index — so the timeline is reproducible.
     fn drive_interleaved(&mut self, trace: Option<&Trace>) -> RunReport {
-        // Arming, closed-loop priming and earlier runs moved shard heads
-        // outside this loop: key every shard once.
+        // The fault events queued at build and closed-loop priming moved
+        // shard heads outside this loop: key every shard once.
         for c in 0..self.shards.len() {
             self.dirty.insert(c);
         }
@@ -818,6 +800,7 @@ impl ArraySim {
             self.report.merge_dispatch(&sr);
         }
         self.closed_loop = None;
+        self.ran = true;
         std::mem::take(&mut self.report)
     }
 
@@ -1127,7 +1110,7 @@ mod tests {
         // Structured replays quiesce before reporting, so the table is
         // already clean; drain must agree and be a no-op.
         let pending = sim.nvram_entries();
-        let drained = sim.drain_background();
+        let drained = sim.drain_background().delayed_propagated;
         assert_eq!(sim.nvram_entries(), 0);
         assert!(drained >= pending as u64);
 
@@ -1138,7 +1121,7 @@ mod tests {
         let _ = sim.run_closed_loop(&spec, 16, 2_000);
         let pending = sim.nvram_entries();
         assert!(pending > 0, "a write-heavy closed loop leaves work behind");
-        let drained = sim.drain_background();
+        let drained = sim.drain_background().delayed_propagated;
         assert_eq!(sim.nvram_entries(), 0);
         assert!(drained >= pending as u64, "drained {drained} of {pending}");
     }
@@ -1150,7 +1133,52 @@ mod tests {
         let _ = sim.run_trace(&trace);
         // Striping makes no replicas: nothing to drain.
         assert_eq!(sim.nvram_entries(), 0);
-        assert_eq!(sim.drain_background(), 0);
+        assert_eq!(sim.drain_background().delayed_propagated, 0);
+    }
+
+    /// An SR-Array that has replayed a short trace, or run a short closed
+    /// loop when `closed` is set.
+    fn used_once(closed: bool) -> ArraySim {
+        let trace = SyntheticSpec::cello_base().generate(12, 100);
+        let cfg = quick_cfg(Shape::sr_array(2, 3).unwrap());
+        let mut sim = ArraySim::new(cfg, trace.data_sectors).unwrap();
+        if closed {
+            let spec = IometerSpec::microbench(trace.data_sectors, 0.5);
+            let _ = sim.run_closed_loop(&spec, 4, 100);
+        } else {
+            let _ = sim.run_trace(&trace);
+        }
+        sim
+    }
+
+    #[test]
+    #[should_panic(expected = "build a new ArraySim")]
+    fn a_second_trace_run_is_rejected() {
+        let trace = SyntheticSpec::cello_base().generate(12, 100);
+        let _ = used_once(false).run_trace(&trace);
+    }
+
+    #[test]
+    #[should_panic(expected = "build a new ArraySim")]
+    fn a_closed_loop_after_a_trace_is_rejected() {
+        let spec = IometerSpec::microbench(1 << 20, 0.5);
+        let _ = used_once(false).run_closed_loop(&spec, 4, 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "build a new ArraySim")]
+    fn a_second_closed_loop_is_rejected() {
+        let spec = IometerSpec::microbench(1 << 20, 0.5);
+        let _ = used_once(true).run_closed_loop(&spec, 4, 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "build a new ArraySim")]
+    fn a_closed_loop_after_a_drain_is_rejected() {
+        let mut sim = used_once(true);
+        let _ = sim.drain_background();
+        let spec = IometerSpec::microbench(1 << 20, 0.5);
+        let _ = sim.run_closed_loop(&spec, 4, 100);
     }
 
     #[test]

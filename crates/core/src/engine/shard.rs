@@ -48,7 +48,7 @@ use crate::sched::{LookState, Schedulable};
 use crate::slab::{Key, Slab};
 
 use super::report::RunReport;
-use super::{compact_live_groups, MirrorPolicy, SCHED_WINDOW, TASK_POOL_CAP};
+use super::{MirrorPolicy, SCHED_WINDOW};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TaskKind {
@@ -95,20 +95,29 @@ pub(crate) struct PendingTask {
 }
 
 impl PendingTask {
-    /// An empty shell for the recycling pool.
-    fn shell() -> PendingTask {
-        PendingTask {
-            job: None,
-            frag: Fragment { lbn: 0, sectors: 0 },
-            write: false,
-            kind: TaskKind::Read,
-            targets: Vec::new(),
+    /// A first attempt at `frag` over `replicas`, queued at `enqueued`.
+    fn new(
+        job: Option<Key>,
+        frag: Fragment,
+        write: bool,
+        kind: TaskKind,
+        replicas: &[Replica],
+        enqueued: SimTime,
+    ) -> PendingTask {
+        let mut t = PendingTask {
+            job,
+            frag,
+            write,
+            kind,
+            targets: Vec::with_capacity(replicas.len()),
             meta: (0, 0),
-            enqueued: SimTime::ZERO,
+            enqueued,
             dup: None,
             attempt: 0,
             track: 0,
-        }
+        };
+        t.aim(replicas);
+        t
     }
 
     /// Points the task at `replicas`, one target each. Every caller passes
@@ -184,6 +193,19 @@ fn write_nearest_first(
         rest.swap_remove(i);
     }
     end
+}
+
+/// Keeps the runs of `dr` replicas in `reps` (each run one replica group
+/// on one disk) that `keep` accepts, in order.
+fn retain_groups(reps: &mut Vec<Replica>, dr: usize, mut keep: impl FnMut(&[Replica]) -> bool) {
+    let mut w = 0;
+    for r in (0..reps.len()).step_by(dr) {
+        if keep(&reps[r..r + dr]) {
+            reps.copy_within(r..r + dr, w);
+            w += dr;
+        }
+    }
+    reps.truncate(w);
 }
 
 #[derive(Debug)]
@@ -396,8 +418,7 @@ pub(crate) struct Shard {
     /// One record per owned disk, indexed by `disk - base`.
     drives: Vec<Drive>,
     /// Per owned disk, indexed by `disk - base`; read through
-    /// [`Shard::is_dead`], which takes a global disk index. Kept apart
-    /// from `drives` because [`compact_live_groups`] takes a slice.
+    /// [`Shard::is_dead`], which takes a global disk index.
     dead: Vec<bool>,
     events: EventQueue<ColEvent>,
     jobs: Slab<Job>,
@@ -418,7 +439,6 @@ pub(crate) struct Shard {
     /// This shard's witness sub-stream over its own event pops.
     pub(crate) pops: Pops,
     touched: Vec<usize>,
-    task_pool: Vec<PendingTask>,
     write_scratch: Vec<Target>,
     group_scratch: Vec<Replica>,
 }
@@ -466,15 +486,27 @@ impl Shard {
                 purge: Vec::new(),
             });
         }
+        // The plan's events for the owned disks are queued before any
+        // request, fail-stops first: the order fixes their FIFO sequence
+        // numbers, which the witness folds.
+        let mut events = EventQueue::new();
         let faults = if cfg.faults.is_empty() {
             None
         } else {
             let ctx = FaultCtx::new(&cfg.faults, cfg.seed, width, group as u64);
+            let owned = base..base + width;
+            for f in &ctx.plan.fail_stop {
+                if owned.contains(&f.disk) {
+                    events.push(f.at, ColEvent::DiskFail(f.disk));
+                }
+            }
             for w in &ctx.plan.fail_slow {
-                if w.disk >= base && w.disk < base + width {
+                if owned.contains(&w.disk) {
                     drives[w.disk - base]
                         .disk
                         .add_fail_slow(w.from, w.until, w.factor);
+                    events.push(w.from, ColEvent::SlowStart(w.disk));
+                    events.push(w.until, ColEvent::SlowEnd(w.disk));
                 }
             }
             Some(Box::new(ctx))
@@ -483,14 +515,14 @@ impl Shard {
             base,
             width,
             dr,
-            stripe_unit: cfg.stripe_unit,
+            stripe_unit: lay.stripe_unit(),
             ds_x_dr: shape.ds as u64 * shape.dr as u64,
             mirror_policy: cfg.mirror_policy,
             coalesce: cfg.coalesce_delayed,
             slack: cfg.slack,
             drives,
             dead: vec![false; width],
-            events: EventQueue::new(),
+            events,
             jobs: Slab::default(),
             dups: Slab::default(),
             parity_ops: Slab::default(),
@@ -503,32 +535,8 @@ impl Shard {
             },
             pops: Pops::default(),
             touched: Vec::new(),
-            task_pool: Vec::new(),
             write_scratch: Vec::new(),
             group_scratch: Vec::new(),
-        }
-    }
-
-    /// Arms the fault plan's events for this shard's disks (idempotent).
-    pub(crate) fn arm(&mut self) {
-        let (base, width) = (self.base, self.width);
-        let Some(ctx) = self.faults.as_mut() else {
-            return;
-        };
-        if ctx.armed {
-            return;
-        }
-        ctx.armed = true;
-        for f in &ctx.plan.fail_stop {
-            if f.disk >= base && f.disk < base + width {
-                self.events.push(f.at, ColEvent::DiskFail(f.disk));
-            }
-        }
-        for w in &ctx.plan.fail_slow {
-            if w.disk >= base && w.disk < base + width {
-                self.events.push(w.from, ColEvent::SlowStart(w.disk));
-                self.events.push(w.until, ColEvent::SlowEnd(w.disk));
-            }
         }
     }
 
@@ -627,7 +635,7 @@ impl Shard {
         let mut reps = std::mem::take(&mut self.group_scratch);
         reps.clear();
         lay.write_groups_into(frag, &mut reps);
-        compact_live_groups(&mut reps, 0, self.dr, &self.dead, self.base);
+        retain_groups(&mut reps, self.dr, |g| !self.is_dead(g[0].disk));
         if reps.is_empty() {
             self.notes.push(Note::Part {
                 logical,
@@ -645,7 +653,7 @@ impl Shard {
             if fg {
                 for replicas in reps.chunks_exact(self.dr) {
                     let disk = replicas[0].disk;
-                    let task = self.make_task(job, frag, true, TaskKind::WriteAll, replicas, now);
+                    let task = PendingTask::new(job, frag, true, TaskKind::WriteAll, replicas, now);
                     self.enqueue(disk, task);
                     self.touched.push(disk - self.base);
                 }
@@ -655,7 +663,7 @@ impl Shard {
                 } else {
                     TaskKind::Read
                 };
-                self.dispatch_mirrored(job, frag, write, kind, &reps, now);
+                self.dispatch_mirrored(job, frag, write, kind, &mut reps, now);
             }
         }
         reps.clear();
@@ -677,36 +685,6 @@ impl Shard {
         self.touched = touched;
     }
 
-    /// Builds a task over `replicas`, reusing a pooled shell.
-    fn make_task(
-        &mut self,
-        job: Option<Key>,
-        frag: Fragment,
-        write: bool,
-        kind: TaskKind,
-        replicas: &[Replica],
-        now: SimTime,
-    ) -> PendingTask {
-        let mut t = self.task_pool.pop().unwrap_or_else(PendingTask::shell);
-        t.job = job;
-        t.frag = frag;
-        t.write = write;
-        t.kind = kind;
-        t.aim(replicas);
-        t.enqueued = now;
-        t.dup = None;
-        t.attempt = 0;
-        t.track = 0;
-        t
-    }
-
-    /// Returns a completed task's shell (with its buffers) to the pool.
-    fn recycle(&mut self, task: PendingTask) {
-        if self.task_pool.len() < TASK_POOL_CAP {
-            self.task_pool.push(task);
-        }
-    }
-
     /// Marks one part of a job done; the job's last part removes it and
     /// emits its completion note to the conductor.
     fn finish_part(&mut self, now: SimTime, job: Key, failed: bool) {
@@ -726,8 +704,8 @@ impl Shard {
         }
     }
 
-    /// Dispatches a read (or first-copy write), steering it away from
-    /// disks inside a fail-slow window first when the plan asks for
+    /// Dispatches a read (or first-copy write), first dropping from
+    /// `groups` the disks inside a fail-slow window when the plan asks for
     /// redirection and a healthy copy exists.
     fn dispatch_mirrored(
         &mut self,
@@ -735,40 +713,19 @@ impl Shard {
         frag: Fragment,
         write: bool,
         kind: TaskKind,
-        groups: &[Replica],
+        groups: &mut Vec<Replica>,
         now: SimTime,
     ) {
         let dr = self.dr;
-        let mut filtered: Option<Vec<Replica>> = None;
-        if !write && groups.len() > dr {
-            if let Some(ctx) = self.faults.as_mut() {
-                if ctx.plan.redirect && ctx.any_slow() {
-                    let mut buf = std::mem::take(&mut ctx.redirect_scratch);
-                    buf.clear();
-                    for g in groups.chunks_exact(dr) {
-                        if ctx.slow_now[g[0].disk - self.base] == 0 {
-                            buf.extend_from_slice(g);
-                        }
-                    }
-                    if !buf.is_empty() && buf.len() < groups.len() {
-                        self.report.faults.redirects += 1;
-                        filtered = Some(buf);
-                    } else {
-                        buf.clear();
-                        ctx.redirect_scratch = buf;
-                    }
-                }
+        if let Some(ctx) = self.faults.as_ref().filter(|c| c.plan.redirect && !write) {
+            let healthy = |g: &[Replica]| ctx.slow_now[g[0].disk - self.base] == 0;
+            let kept = groups.chunks_exact(dr).filter(|g| healthy(g)).count();
+            if kept > 0 && kept < groups.len() / dr {
+                retain_groups(groups, dr, healthy);
+                self.report.faults.redirects += 1;
             }
         }
-        if let Some(mut buf) = filtered {
-            self.dispatch_groups(job, frag, write, kind, &buf, now);
-            buf.clear();
-            if let Some(ctx) = self.faults.as_mut() {
-                ctx.redirect_scratch = buf;
-            }
-        } else {
-            self.dispatch_groups(job, frag, write, kind, groups, now);
-        }
+        self.dispatch_groups(job, frag, write, kind, groups, now);
     }
 
     /// Dispatches a read (or first-copy write) per the §3.3 mirror
@@ -792,7 +749,7 @@ impl Shard {
             };
             let replicas = &groups[idx * dr..(idx + 1) * dr];
             let disk = replicas[0].disk;
-            let task = self.make_task(job, frag, write, kind, replicas, now);
+            let task = PendingTask::new(job, frag, write, kind, replicas, now);
             self.enqueue(disk, task);
             self.touched.push(disk - self.base);
             return;
@@ -819,7 +776,7 @@ impl Shard {
         }
         if let Some((replicas, _)) = idle {
             let disk = replicas[0].disk;
-            let task = self.make_task(job, frag, write, kind, replicas, now);
+            let task = PendingTask::new(job, frag, write, kind, replicas, now);
             self.enqueue(disk, task);
             self.touched.push(disk - base);
             return;
@@ -833,7 +790,7 @@ impl Shard {
         });
         for replicas in groups.chunks_exact(dr) {
             let disk = replicas[0].disk;
-            let mut t = self.make_task(job, frag, write, kind, replicas, now);
+            let mut t = PendingTask::new(job, frag, write, kind, replicas, now);
             t.dup = Some(dup);
             let id = self.enqueue(disk, t);
             if let Some(g) = self.dups.get_mut(dup) {
@@ -889,7 +846,7 @@ impl Shard {
                 }
             }
         }
-        let t = self.make_task(None, frag, true, TaskKind::Delayed, one, now);
+        let t = PendingTask::new(None, frag, true, TaskKind::Delayed, one, now);
         let d = &mut self.drives[l];
         let id = d.delayed.insert(&d.disk, t);
         if self.coalesce {
@@ -907,11 +864,7 @@ impl Shard {
         }
         // Cancel the copies of mirror duplicates another disk started.
         for id in d.purge.drain(..) {
-            if let Some(t) = d.fg.remove(id) {
-                if self.task_pool.len() < TASK_POOL_CAP {
-                    self.task_pool.push(t);
-                }
-            }
+            d.fg.remove(id);
         }
         mimd_sim::sim_invariant!(
             d.fg.ids().iter().all(|&id| d
@@ -1011,7 +964,7 @@ impl Shard {
             return;
         };
         if fly.task.kind == TaskKind::Rebuild {
-            self.on_rebuild_read_done(lay, now, disk, fly.task);
+            self.on_rebuild_read_done(lay, now, disk);
             return;
         }
         // Transient media errors surface at completion time, drawn from
@@ -1031,7 +984,7 @@ impl Shard {
             }
         }
         if matches!(fly.task.kind, TaskKind::ParityRead | TaskKind::ParityWrite) {
-            self.on_parity_done(now, disk, fly.task);
+            self.on_parity_done(now, disk, fly.task.job);
             return;
         }
         match fly.task.kind {
@@ -1062,7 +1015,6 @@ impl Shard {
                 }
             }
         }
-        self.recycle(fly.task);
         self.try_dispatch(now, l);
     }
 
@@ -1106,7 +1058,7 @@ impl Shard {
         groups.clear();
         lay.write_groups_into(task.frag, &mut groups);
         let dr = self.dr;
-        compact_live_groups(&mut groups, 0, dr, &self.dead, self.base);
+        retain_groups(&mut groups, dr, |g| !self.is_dead(g[0].disk));
         let ngroups = groups.len() / dr;
         if ngroups == 0 {
             self.fail_unrecoverable(now, task);
@@ -1162,7 +1114,6 @@ impl Shard {
         if let Some(job) = job {
             self.finish_part(now, job, true);
         }
-        self.recycle(task);
     }
 
     /// Handles a transient media error on a completed foreground
@@ -1172,7 +1123,7 @@ impl Shard {
     fn on_media_error(&mut self, lay: &Layout, now: SimTime, disk: usize, task: PendingTask) {
         match task.kind {
             TaskKind::Read => self.retry_or_fail(lay, now, task, Some(disk)),
-            TaskKind::Delayed | TaskKind::Rebuild => self.recycle(task),
+            TaskKind::Delayed | TaskKind::Rebuild => {}
             _ if self.may_retry(&task) => self.requeue_retry(now, disk, task),
             _ => self.fail_unrecoverable(now, task),
         }
@@ -1339,14 +1290,19 @@ impl Shard {
                 let mut groups = std::mem::take(&mut self.group_scratch);
                 groups.clear();
                 lay.write_groups_into(task.frag, &mut groups);
-                compact_live_groups(&mut groups, 0, self.dr, &self.dead, self.base);
+                retain_groups(&mut groups, self.dr, |g| !self.is_dead(g[0].disk));
                 if groups.is_empty() {
                     if let Some(job) = task.job {
                         self.finish_part(now, job, true);
                     }
                 } else {
                     self.dispatch_mirrored(
-                        task.job, task.frag, task.write, task.kind, &groups, now,
+                        task.job,
+                        task.frag,
+                        task.write,
+                        task.kind,
+                        &mut groups,
+                        now,
                     );
                 }
                 groups.clear();
@@ -1361,7 +1317,6 @@ impl Shard {
                 }
             }
         }
-        self.recycle(task);
     }
 
     /// The hot spare for a failed disk came online: start copying.
@@ -1453,7 +1408,7 @@ impl Shard {
                 replica: 0,
                 mirror: (disk % dm) as u8,
             };
-            let t = self.make_task(None, frag, false, TaskKind::Rebuild, &[read], now);
+            let t = PendingTask::new(None, frag, false, TaskKind::Rebuild, &[read], now);
             let d = &mut self.drives[disk - self.base];
             d.delayed.insert(&d.disk, t);
         }
@@ -1473,14 +1428,7 @@ impl Shard {
     /// One rebuild chunk read completed on `source`. When the chunk's last
     /// read reports, all `Dr` replica writes of the chunk chain onto the
     /// spare (a parity group has `Dr = 1`).
-    fn on_rebuild_read_done(
-        &mut self,
-        lay: &Layout,
-        now: SimTime,
-        source: usize,
-        task: PendingTask,
-    ) {
-        self.recycle(task);
+    fn on_rebuild_read_done(&mut self, lay: &Layout, now: SimTime, source: usize) {
         let state = self.faults.as_mut().and_then(|ctx| {
             let chunk = ctx.plan.rebuild.chunk_sectors;
             ctx.rebuild

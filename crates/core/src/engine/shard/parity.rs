@@ -215,16 +215,14 @@ impl Shard {
         } else {
             TaskKind::ParityRead
         };
-        let t = self.make_task(Some(op), frag, write, kind, &[leg], now);
+        let t = PendingTask::new(Some(op), frag, write, kind, &[leg], now);
         self.enqueue(disk, t);
         self.touched.push(disk - self.base);
     }
 
     /// One leg of a parity operation completed on `disk`: count it down,
     /// then dispatch the disk's next task.
-    pub(super) fn on_parity_done(&mut self, now: SimTime, disk: usize, task: PendingTask) {
-        let op = task.job;
-        self.recycle(task);
+    pub(super) fn on_parity_done(&mut self, now: SimTime, disk: usize, op: Option<Key>) {
         if let Some(op) = op {
             self.parity_leg_done(now, op);
         }

@@ -21,8 +21,6 @@
 
 use mimd_sim::{SimDuration, SimRng, SimTime};
 
-use crate::layout::Replica;
-
 /// A scheduled fail-stop: the disk stops servicing at `at`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailStop {
@@ -353,11 +351,6 @@ pub(crate) struct FaultCtx {
     pub(crate) rebuild: Option<RebuildState>,
     /// Monotone stamp distinguishing timeout generations of a task slot.
     pub(crate) next_track: u64,
-    /// Whether plan events have been pushed onto the event queue.
-    pub(crate) armed: bool,
-    /// Scratch buffer for redirect filtering (kept here so the healthy
-    /// dispatch path allocates nothing new).
-    pub(crate) redirect_scratch: Vec<Replica>,
 }
 
 impl FaultCtx {
@@ -375,14 +368,7 @@ impl FaultCtx {
             slow_now: vec![0; disks],
             rebuild: None,
             next_track: 0,
-            armed: false,
-            redirect_scratch: Vec::new(),
         }
-    }
-
-    /// Whether any of the shard's disks is inside a fail-slow window.
-    pub(crate) fn any_slow(&self) -> bool {
-        self.slow_now.iter().any(|&c| c > 0)
     }
 }
 
@@ -480,8 +466,5 @@ mod tests {
         // Shards draw from distinct members of the stream family.
         let mut c = FaultCtx::new(&plan, 7, 4, 1);
         assert_ne!(a.rng.below(1 << 30), c.rng.below(1 << 30));
-        assert!(!a.any_slow());
-        a.slow_now[2] = 1;
-        assert!(a.any_slow());
     }
 }

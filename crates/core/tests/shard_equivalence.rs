@@ -228,17 +228,19 @@ fn all_disks_dead_closed_loop_keeps_its_pinned_pop_stream() {
 fn drained_raid10_notes_keep_their_pinned_sweep_order() {
     // `drain_background` steps every shard to quiescence before the
     // conductor applies any note, so several shards hold completion notes
-    // for different requests at once. The next run's report lists those
-    // completions in the order the conductor swept the shards; an empty
-    // replay collects it without issuing anything.
+    // for different requests at once. The drain's report lists those
+    // completions in the order the conductor swept the shards.
     let cfg = EngineConfig::new(Shape::raid10(8).expect("even")).with_perfect_knowledge();
     let mut sim = ArraySim::new(cfg, 8_000_000).expect("fits");
     let spec = IometerSpec::microbench(8_000_000, 0.7);
     let first = sim.run_closed_loop(&spec, 64, 2_000);
     assert_eq!(first.completed, 2_000);
     sim.set_pop_capture(true);
-    assert!(sim.drain_background() > 0, "writes were left to propagate");
-    let report = sim.run_trace(&Trace::new("nothing", 8_000_000, Vec::new()));
+    let report = sim.drain_background();
+    assert!(
+        report.delayed_propagated > 0,
+        "writes were left to propagate"
+    );
     assert_eq!(report.completed, 63, "the drained completions");
     assert_eq!(
         interleaved_pins(&mut sim, &report),

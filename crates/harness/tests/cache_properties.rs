@@ -218,7 +218,6 @@ fn every_config_field_flip_changes_the_fingerprint() {
                 std_error_us: 32.0,
             }
         }),
-        ("stripe_unit", |c| c.stripe_unit += 8),
         ("mirror_stagger", |c| c.mirror_stagger = !c.mirror_stagger),
         ("sync_spindles", |c| c.sync_spindles = !c.sync_spindles),
         ("mirror_policy", |c| c.mirror_policy = MirrorPolicy::Static),

@@ -233,11 +233,6 @@ impl SampleSet {
         Some(*nth)
     }
 
-    /// Median; `None` when empty.
-    pub fn median(&mut self) -> Option<f64> {
-        self.percentile(0.5)
-    }
-
     /// The sorted samples (sorting lazily on first access).
     pub fn sorted_values(&mut self) -> &[f64] {
         self.ensure_sorted();
@@ -375,7 +370,7 @@ mod tests {
             s.push(x);
         }
         assert_eq!(s.percentile(0.0), Some(1.0));
-        assert_eq!(s.median(), Some(3.0));
+        assert_eq!(s.percentile(0.5), Some(3.0));
         assert_eq!(s.percentile(1.0), Some(5.0));
         assert_eq!(s.percentile(0.8), Some(4.0));
         assert_eq!(s.len(), 5);

@@ -67,11 +67,6 @@ impl SimTime {
         SimTime((s * 1e9).round() as u64)
     }
 
-    /// Creates an instant from fractional milliseconds (clamping negatives).
-    pub fn from_millis_f64(ms: f64) -> Self {
-        Self::from_secs_f64(ms * 1e-3)
-    }
-
     /// Raw nanoseconds since simulation start.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -142,11 +137,6 @@ impl SimDuration {
         SimDuration((s * 1e9).round() as u64)
     }
 
-    /// Creates a duration from fractional milliseconds (clamping negatives).
-    pub fn from_millis_f64(ms: f64) -> Self {
-        Self::from_secs_f64(ms * 1e-3)
-    }
-
     /// Creates a duration from fractional microseconds (clamping negatives).
     pub fn from_micros_f64(us: f64) -> Self {
         Self::from_secs_f64(us * 1e-6)
@@ -184,15 +174,6 @@ impl SimDuration {
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// Remainder of this duration modulo `period`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn rem_of(self, period: SimDuration) -> SimDuration {
-        SimDuration(self.0 % period.0)
     }
 }
 
@@ -294,7 +275,6 @@ mod tests {
     fn fractional_constructors_round() {
         assert_eq!(SimTime::from_secs_f64(1.5e-9).as_nanos(), 2);
         assert_eq!(SimTime::from_secs_f64(-1.0), SimTime::ZERO);
-        assert_eq!(SimDuration::from_millis_f64(0.001).as_nanos(), 1_000);
         assert_eq!(SimDuration::from_micros_f64(2.5).as_nanos(), 2_500);
     }
 
@@ -320,13 +300,6 @@ mod tests {
             SimDuration::ZERO
         );
         assert_eq!(SimTime::MAX + SimDuration::from_nanos(1), SimTime::MAX);
-    }
-
-    #[test]
-    fn duration_modulo() {
-        let d = SimDuration::from_micros(6_400);
-        let r = SimDuration::from_micros(6_000);
-        assert_eq!(d.rem_of(r), SimDuration::from_micros(400));
     }
 
     #[test]
