@@ -78,12 +78,14 @@ fn mechanism_accuracy(log: &mut ExperimentLog) {
 
 fn system_table(log: &mut ExperimentLog) {
     let w = Workloads::generate();
-    let cfg = EngineConfig::new(Shape::sr_array(2, 3).unwrap()); // Tracked knowledge default.
+    // Tracked knowledge default; the demerit needs both whole access-time
+    // distributions, which only an opted-in run records.
+    let cfg = EngineConfig::new(Shape::sr_array(2, 3).unwrap()).with_prediction_samples();
     let mut r = run_jobs(vec![Job::trace(cfg, &w.cello_base)])
         .pop()
         .expect("one job");
-    let demerit = r.prediction.demerit_us();
-    let avg = r.prediction.avg_access_us();
+    let demerit = r.prediction.demerit_us().expect("samples recorded");
+    let avg = r.prediction.avg_access_us().expect("samples recorded");
     let rows = vec![
         vec![
             "Misses".into(),

@@ -152,6 +152,12 @@ pub struct EngineConfig {
     pub read_ahead: bool,
     /// Random seed (spindle phases, head-tracking error).
     pub seed: u64,
+    /// Record every physical operation's predicted and measured access
+    /// time in `RunReport::prediction` (Table 2's demerit figure needs
+    /// both whole distributions). Off by default, which saves two `f64`
+    /// per operation: the two sample sets then stay empty. The miss and
+    /// error statistics are recorded either way.
+    pub prediction_samples: bool,
     /// Fault-injection plan. The default (empty) plan disables the fault
     /// layer entirely: no extra RNG streams, no extra events, byte-identical
     /// reports (value-neutrality).
@@ -189,6 +195,7 @@ impl EngineConfig {
             replica_placement: ReplicaPlacement::Even,
             read_ahead: false,
             seed: 42,
+            prediction_samples: false,
             faults: FaultPlan::default(),
             parity: None,
         }
@@ -223,6 +230,13 @@ impl EngineConfig {
     /// Sets the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
+        self
+    }
+
+    /// Records the predicted and measured access-time samples that
+    /// [`report::PredictionStats::demerit_us`] reads.
+    pub fn with_prediction_samples(mut self) -> Self {
+        self.prediction_samples = true;
         self
     }
 
@@ -1084,7 +1098,7 @@ mod tests {
     #[test]
     fn tracked_knowledge_reports_prediction_stats() {
         let trace = SyntheticSpec::cello_base().generate(7, 1_000);
-        let cfg = EngineConfig::new(Shape::sr_array(2, 3).unwrap());
+        let cfg = EngineConfig::new(Shape::sr_array(2, 3).unwrap()).with_prediction_samples();
         let mut sim = ArraySim::new(cfg, trace.data_sectors).unwrap();
         let mut r = sim.run_trace(&trace);
         assert!(r.prediction.requests > 1_000 - 10);
@@ -1094,7 +1108,7 @@ mod tests {
             "miss {}",
             r.prediction.miss_rate()
         );
-        let d = r.prediction.demerit_us();
+        let d = r.prediction.demerit_us().expect("samples were recorded");
         assert!(d < 500.0, "demerit {d}");
     }
 

@@ -13,9 +13,11 @@ pub struct PredictionStats {
     /// Signed prediction error samples in microseconds
     /// (actual − predicted access time).
     pub error: OnlineStats,
-    /// Predicted access times (µs).
+    /// Predicted access times (µs), one per physical operation; empty
+    /// unless the run opted in with `EngineConfig::prediction_samples`.
     pub predicted_us: SampleSet,
-    /// Measured access times (µs).
+    /// Measured access times (µs), one per physical operation; empty
+    /// unless the run opted in with `EngineConfig::prediction_samples`.
     pub actual_us: SampleSet,
 }
 
@@ -30,14 +32,19 @@ impl PredictionStats {
     }
 
     /// The Ruemmler–Wilkes demerit figure between predicted and measured
-    /// access-time distributions, in microseconds.
-    pub fn demerit_us(&mut self) -> f64 {
-        demerit(&mut self.predicted_us, &mut self.actual_us)
+    /// access-time distributions, in microseconds; `None` when no samples
+    /// were recorded.
+    pub fn demerit_us(&mut self) -> Option<f64> {
+        if self.predicted_us.is_empty() || self.actual_us.is_empty() {
+            return None;
+        }
+        Some(demerit(&mut self.predicted_us, &mut self.actual_us))
     }
 
-    /// Mean measured access time in microseconds.
-    pub fn avg_access_us(&self) -> f64 {
-        self.actual_us.mean()
+    /// Mean measured access time in microseconds; `None` when no samples
+    /// were recorded.
+    pub fn avg_access_us(&self) -> Option<f64> {
+        (!self.actual_us.is_empty()).then(|| self.actual_us.mean())
     }
 }
 
@@ -172,12 +179,9 @@ impl RunReport {
         self.prediction.misses += other.prediction.misses;
         self.prediction.requests += other.prediction.requests;
         self.prediction.error.merge(&other.prediction.error);
-        for &v in other.prediction.predicted_us.values() {
-            self.prediction.predicted_us.push(v);
-        }
-        for &v in other.prediction.actual_us.values() {
-            self.prediction.actual_us.push(v);
-        }
+        let (p, o) = (&mut self.prediction, &other.prediction);
+        p.predicted_us.extend_from_slice(o.predicted_us.values());
+        p.actual_us.extend_from_slice(o.actual_us.values());
         self.seek_ms.merge(&other.seek_ms);
         self.rotation_ms.merge(&other.rotation_ms);
         self.transfer_ms.merge(&other.transfer_ms);
@@ -236,8 +240,19 @@ mod tests {
         p.misses = 1;
         assert!((p.miss_rate() - 0.01).abs() < 1e-12);
         assert!((p.error.mean() - 3.0).abs() < 1e-12);
-        let d = p.demerit_us();
+        let d = p.demerit_us().expect("samples were recorded");
         assert!((d - 3.0).abs() < 1e-9, "demerit {d}");
-        assert!((p.avg_access_us() - 1_052.5).abs() < 1e-9);
+        assert!((p.avg_access_us().unwrap() - 1_052.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn prediction_stats_without_samples_have_no_demerit() {
+        let mut p = PredictionStats {
+            requests: 10,
+            ..Default::default()
+        };
+        p.error.push(3.0);
+        assert_eq!(p.demerit_us(), None);
+        assert_eq!(p.avg_access_us(), None);
     }
 }

@@ -415,6 +415,9 @@ pub(crate) struct Shard {
     mirror_policy: MirrorPolicy,
     coalesce: bool,
     slack: SimDuration,
+    /// Keep the per-operation Table-2 sample sets
+    /// (`EngineConfig::prediction_samples`).
+    prediction_samples: bool,
     /// One record per owned disk, indexed by `disk - base`.
     drives: Vec<Drive>,
     /// Per owned disk, indexed by `disk - base`; read through
@@ -520,6 +523,7 @@ impl Shard {
             mirror_policy: cfg.mirror_policy,
             coalesce: cfg.coalesce_delayed,
             slack: cfg.slack,
+            prediction_samples: cfg.prediction_samples,
             drives,
             dead: vec![false; width],
             events,
@@ -925,8 +929,10 @@ impl Shard {
         if !first.missed_rotation {
             pr.error.push(actual_us - predicted.as_micros_f64());
         }
-        pr.predicted_us.push(predicted.as_micros_f64());
-        pr.actual_us.push(actual_us);
+        if self.prediction_samples {
+            pr.predicted_us.push(predicted.as_micros_f64());
+            pr.actual_us.push(actual_us);
+        }
         if !matches!(task.kind, TaskKind::Delayed | TaskKind::Rebuild) {
             self.report.seek_ms.push(first.seek.as_millis_f64());
             self.report.rotation_ms.push(first.rotation.as_millis_f64());

@@ -8,7 +8,8 @@
 //! bits, FNV-1a of the report's Debug string)`. The witness digests every
 //! event pop in order, and the Debug string covers every counter and
 //! sample, so a change in any fault path's events, RNG draws or counters
-//! moves a pin.
+//! moves a pin. Every run records its Table-2 prediction samples
+//! (`with_prediction_samples`), so the Debug string covers them too.
 
 use mimd_core::{ArraySim, EngineConfig, FaultPlan, ParityConfig, RunReport, Shape, WriteMode};
 use mimd_sim::{SimDuration, SimTime};
@@ -65,13 +66,18 @@ fn rb(plan: FaultPlan, delay_ms: u64, chunk: u32) -> FaultPlan {
 }
 
 fn replay(cfg: EngineConfig, plan: FaultPlan, t: &Trace) -> Pins {
-    let mut sim = ArraySim::new(cfg.with_faults(plan), t.data_sectors).expect("fits");
+    let mut sim = ArraySim::new(
+        cfg.with_faults(plan).with_prediction_samples(),
+        t.data_sectors,
+    )
+    .expect("fits");
     pins(&sim.run_trace(t))
 }
 
 fn closed(cfg: EngineConfig, plan: FaultPlan, read_frac: f64, outstanding: usize, n: u64) -> Pins {
     let data = 4_000_000;
-    let mut sim = ArraySim::new(cfg.with_faults(plan), data).expect("fits");
+    let mut sim =
+        ArraySim::new(cfg.with_faults(plan).with_prediction_samples(), data).expect("fits");
     let spec = IometerSpec::microbench(data, read_frac);
     pins(&sim.run_closed_loop(&spec, outstanding, n))
 }

@@ -10,7 +10,9 @@
 //! started or cancelled cannot move fig. 10's saturated cells unseen.
 //!
 //! Each test asserts `(completed, failed_requests, witness, mean response
-//! bits, FNV-1a of the report's Debug string)`, as `fault_pins.rs` does.
+//! bits, FNV-1a of the report's Debug string)`, as `fault_pins.rs` does,
+//! and records the Table-2 prediction samples, which the Debug string
+//! covers.
 
 use mimd_core::{ArraySim, EngineConfig, RunReport, Shape};
 use mimd_workload::{SyntheticSpec, Trace};
@@ -42,7 +44,8 @@ fn saturated() -> Trace {
 
 fn replay(shape: Shape) -> Pins {
     let t = saturated();
-    let mut sim = ArraySim::new(EngineConfig::new(shape), t.data_sectors).expect("fits");
+    let cfg = EngineConfig::new(shape).with_prediction_samples();
+    let mut sim = ArraySim::new(cfg, t.data_sectors).expect("fits");
     pins(&sim.run_trace(&t))
 }
 

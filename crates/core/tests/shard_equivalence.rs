@@ -11,9 +11,9 @@
 //! replay gives the same stream whether it runs structured or, behind a
 //! cache that never hits, interleaved.
 
-use mimd_core::{ArraySim, CacheConfig, EngineConfig, FaultPlan, ParityConfig, Shape};
+use mimd_core::{ArraySim, CacheConfig, EngineConfig, FaultPlan, ParityConfig, RunReport, Shape};
 use mimd_sim::check::check_cases;
-use mimd_sim::{SimDuration, SimTime};
+use mimd_sim::{OnlineStats, SimDuration, SimTime};
 use mimd_workload::{IometerSpec, SyntheticSpec, Trace};
 
 /// One captured run: the full pop stream, the witness, and the report's
@@ -131,7 +131,7 @@ fn wide_stripe_pop_stream_equals_serial() {
 /// FNV-1a digest over every captured `(time, entity, seq, disk, kind)`,
 /// and one over the report's `Debug` rendering, whose samples are listed in
 /// completion order.
-fn interleaved_pins(sim: &mut ArraySim, report: &mimd_core::RunReport) -> [u64; 4] {
+fn interleaved_pins(sim: &mut ArraySim, report: &RunReport) -> [u64; 4] {
     fn fnv(h: u64, x: u64) -> u64 {
         (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
     }
@@ -150,13 +150,16 @@ fn interleaved_pins(sim: &mut ArraySim, report: &mimd_core::RunReport) -> [u64; 
 
 // The three interleaved runs below are pinned to the values the engine
 // produced with a linear per-event scan over every shard's head and note
-// buffer. The indexed conductor must reproduce them exactly.
+// buffer. The indexed conductor must reproduce them exactly. Each pinned
+// run records its Table-2 prediction samples, so the report hash covers
+// them.
 
 #[test]
 fn wide_raid10_closed_loop_keeps_its_pinned_pop_stream() {
     let cfg = EngineConfig::new(Shape::raid10(128).expect("even"))
         .with_perfect_knowledge()
-        .with_seed(7);
+        .with_seed(7)
+        .with_prediction_samples();
     let mut sim = ArraySim::new(cfg, 16_000_000).expect("fits");
     sim.set_pop_capture(true);
     let spec = IometerSpec::microbench(16_000_000, 0.8);
@@ -176,10 +179,12 @@ fn wide_raid10_closed_loop_keeps_its_pinned_pop_stream() {
 #[test]
 fn cached_cello_replay_keeps_its_pinned_pop_stream() {
     let trace = SyntheticSpec::cello_base().generate(77, 3_000);
-    let cfg = EngineConfig::new(Shape::sr_array(2, 3).expect("valid")).with_cache(CacheConfig {
-        bytes: 2 << 20,
-        hit_time: SimDuration::from_micros(100),
-    });
+    let cfg = EngineConfig::new(Shape::sr_array(2, 3).expect("valid"))
+        .with_cache(CacheConfig {
+            bytes: 2 << 20,
+            hit_time: SimDuration::from_micros(100),
+        })
+        .with_prediction_samples();
     let mut sim = ArraySim::new(cfg, trace.data_sectors).expect("fits");
     sim.set_pop_capture(true);
     let report = sim.run_trace(&trace);
@@ -206,7 +211,9 @@ fn all_disks_dead_closed_loop_keeps_its_pinned_pop_stream() {
     // 256-sector reads span both mirror groups, so each request leaves
     // notes on two shards.
     let plan = (0..4).fold(FaultPlan::new(), |p, d| p.fail_stop(d, SimTime::ZERO));
-    let cfg = EngineConfig::new(Shape::raid10(4).expect("even")).with_faults(plan);
+    let cfg = EngineConfig::new(Shape::raid10(4).expect("even"))
+        .with_faults(plan)
+        .with_prediction_samples();
     let mut sim = ArraySim::new(cfg, 8_000_000).expect("fits");
     sim.set_pop_capture(true);
     let spec = IometerSpec::sequential_read(8_000_000, 256);
@@ -230,7 +237,9 @@ fn drained_raid10_notes_keep_their_pinned_sweep_order() {
     // conductor applies any note, so several shards hold completion notes
     // for different requests at once. The drain's report lists those
     // completions in the order the conductor swept the shards.
-    let cfg = EngineConfig::new(Shape::raid10(8).expect("even")).with_perfect_knowledge();
+    let cfg = EngineConfig::new(Shape::raid10(8).expect("even"))
+        .with_perfect_knowledge()
+        .with_prediction_samples();
     let mut sim = ArraySim::new(cfg, 8_000_000).expect("fits");
     let spec = IometerSpec::microbench(8_000_000, 0.7);
     let first = sim.run_closed_loop(&spec, 64, 2_000);
@@ -345,4 +354,86 @@ fn drive_modes_agree_on_tpcc_sr_3x2_with_a_binding_threshold() {
     let trace = SyntheticSpec::tpcc().generate(23, 1_500);
     let cfg = with_threshold(Shape::sr_array(3, 2).expect("valid"), 3);
     assert_modes_agree(&cfg, &trace, "tpcc sr 3x2 T=3");
+}
+
+/// A run with `prediction_samples` on and the same run with it off: the
+/// pop stream, the witness and every figure agree, and the two sample
+/// sets are the only difference (one value per physical operation when
+/// on, empty when off).
+fn assert_samples_only_observe(
+    cfg: &EngineConfig,
+    data_sectors: u64,
+    drive: fn(&mut ArraySim) -> RunReport,
+    label: &str,
+) {
+    let run = |on: bool| {
+        let mut cfg = cfg.clone();
+        cfg.prediction_samples = on;
+        let mut sim = ArraySim::new(cfg, data_sectors).expect("shape fits");
+        sim.set_pop_capture(true);
+        let report = drive(&mut sim);
+        (sim.take_pop_stream(), report)
+    };
+    let (off_pops, off) = run(false);
+    let (on_pops, mut on) = run(true);
+    assert!(!off_pops.is_empty(), "{label}: a real run pops events");
+    assert_eq!(off_pops, on_pops, "{label}: pop stream diverged");
+    assert_eq!(off.witness, on.witness, "{label}: witness");
+    assert_eq!(off.completed, on.completed, "{label}: completed");
+    assert_eq!(
+        bits(off.response_samples_ms.values()),
+        bits(on.response_samples_ms.values()),
+        "{label}: response samples"
+    );
+    let (p_off, p_on) = (&off.prediction, &on.prediction);
+    assert_eq!(p_off.misses, p_on.misses, "{label}: misses");
+    assert_eq!(p_off.requests, p_on.requests, "{label}: requests");
+    let error_bits = |e: &OnlineStats| {
+        (
+            e.count(),
+            [e.mean(), e.population_variance(), e.min(), e.max()].map(f64::to_bits),
+        )
+    };
+    assert_eq!(
+        error_bits(&p_off.error),
+        error_bits(&p_on.error),
+        "{label}: error"
+    );
+    assert!(p_on.requests > 0, "{label}: the run dispatched");
+    for set in [&p_on.predicted_us, &p_on.actual_us] {
+        assert_eq!(set.len() as u64, p_on.requests, "{label}: one per op");
+    }
+    assert!(p_off.predicted_us.is_empty() && p_off.actual_us.is_empty());
+    // With the sets set aside the reports agree byte for byte.
+    on.prediction.predicted_us = Default::default();
+    on.prediction.actual_us = Default::default();
+    assert_eq!(format!("{off:?}"), format!("{on:?}"), "{label}: report");
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn prediction_samples_only_add_the_sample_sets_on_a_trace() {
+    // Table 2's run: Cello base on a 2x3 SR-Array with tracked knowledge.
+    let cfg = EngineConfig::new(Shape::sr_array(2, 3).expect("valid"));
+    assert_samples_only_observe(
+        &cfg,
+        SyntheticSpec::cello_base().data_sectors,
+        |sim| sim.run_trace(&SyntheticSpec::cello_base().generate(31, 1_500)),
+        "cello sr 2x3",
+    );
+}
+
+#[test]
+fn prediction_samples_only_add_the_sample_sets_on_a_closed_loop() {
+    // Duplicated mirror reads and delayed writes, tracked knowledge.
+    let cfg = EngineConfig::new(Shape::raid10(4).expect("even"));
+    assert_samples_only_observe(
+        &cfg,
+        8_000_000,
+        |sim| sim.run_closed_loop(&IometerSpec::microbench(8_000_000, 0.7), 32, 3_000),
+        "raid10x4 closed loop",
+    );
 }

@@ -481,13 +481,15 @@ mod tests {
     use mimd_sim::SimTime;
     use mimd_workload::SyntheticSpec;
 
+    /// A Cello-base report that recorded its prediction samples, so the
+    /// round trips compare demerits over non-empty sets.
     fn sample_report() -> RunReport {
+        report_of(EngineConfig::new(Shape::sr_array(2, 3).unwrap()).with_prediction_samples())
+    }
+
+    fn report_of(cfg: EngineConfig) -> RunReport {
         let trace = SyntheticSpec::cello_base().generate(3, 300);
-        let mut sim = ArraySim::new(
-            EngineConfig::new(Shape::sr_array(2, 3).unwrap()),
-            trace.data_sectors,
-        )
-        .unwrap();
+        let mut sim = ArraySim::new(cfg, trace.data_sectors).unwrap();
         sim.run_trace(&trace)
     }
 
@@ -513,8 +515,16 @@ mod tests {
         assert_eq!(a.nvram_peak, b.nvram_peak);
         assert_eq!(a.prediction.misses, b.prediction.misses);
         assert_eq!(
-            a.prediction.demerit_us().to_bits(),
-            b.prediction.demerit_us().to_bits()
+            a.prediction.demerit_us().map(f64::to_bits),
+            b.prediction.demerit_us().map(f64::to_bits)
+        );
+        assert_eq!(
+            bits(a.prediction.predicted_us.values()),
+            bits(b.prediction.predicted_us.values())
+        );
+        assert_eq!(
+            bits(a.prediction.actual_us.values()),
+            bits(b.prediction.actual_us.values())
         );
         assert_eq!(a.seek_ms.mean().to_bits(), b.seek_ms.mean().to_bits());
         assert_eq!(
@@ -542,6 +552,20 @@ mod tests {
         let blob = encode_entry(0xDEAD_BEEF, &original);
         assert_eq!(blob.len(), blob.capacity(), "the size hint is exact");
         let mut decoded = decode_entry(&blob, 0xDEAD_BEEF).expect("decodes");
+        assert_reports_identical(&mut original, &mut decoded);
+    }
+
+    #[test]
+    fn entry_round_trip_keeps_unrecorded_samples_empty() {
+        let mut original = report_of(EngineConfig::new(Shape::sr_array(2, 3).unwrap()));
+        assert!(original.prediction.requests > 0);
+        assert!(original.prediction.predicted_us.is_empty());
+        let blob = encode_entry(0xF00D, &original);
+        assert_eq!(blob.len(), blob.capacity(), "the size hint is exact");
+        let mut decoded = decode_entry(&blob, 0xF00D).expect("decodes");
+        assert!(decoded.prediction.predicted_us.is_empty());
+        assert!(decoded.prediction.actual_us.is_empty());
+        assert_eq!(decoded.prediction.demerit_us(), None);
         assert_reports_identical(&mut original, &mut decoded);
     }
 

@@ -202,6 +202,9 @@ fn every_config_field_flip_changes_the_fingerprint() {
     let mutations: &[Mutation<EngineConfig>] = &[
         ("shape", |c| c.shape = Shape::sr_array(3, 2).unwrap()),
         ("seed", |c| c.seed ^= 1),
+        ("prediction_samples", |c| {
+            c.prediction_samples = !c.prediction_samples
+        }),
         ("policy", |c| c.policy = Policy::Fcfs),
         ("write_mode", |c| c.write_mode = WriteMode::Foreground),
         ("timing", |c| c.timing = TimingPath::Analytic),

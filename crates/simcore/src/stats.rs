@@ -151,9 +151,10 @@ impl OnlineStats {
 
 /// A bag of raw samples supporting exact percentile queries.
 ///
-/// Stores every pushed value; the experiment harnesses use this for
-/// response-time percentiles and for the demerit figure, where the entire
-/// distribution is needed.
+/// Stores every pushed value, so it costs eight bytes per sample; keep one
+/// only where the entire distribution is read. The engine uses it for
+/// response-time percentiles, and for the demerit figure's predicted and
+/// measured access times when a run opts in to recording them.
 #[derive(Debug, Clone, Default)]
 pub struct SampleSet {
     values: Vec<f64>,
@@ -248,6 +249,14 @@ impl SampleSet {
         &self.values
     }
 
+    /// Appends `xs` in order, as one [`Self::push`] per value would.
+    pub fn extend_from_slice(&mut self, xs: &[f64]) {
+        if !xs.is_empty() {
+            self.values.extend_from_slice(xs);
+            self.sorted = false;
+        }
+    }
+
     /// Rebuilds a set from raw samples (e.g. from [`Self::values`]).
     pub fn from_values(values: Vec<f64>) -> Self {
         SampleSet {
@@ -286,8 +295,9 @@ pub fn demerit(a: &mut SampleSet, b: &mut SampleSet) -> f64 {
     }
     let (n, m) = (a.len(), b.len());
     let probes = n.max(m);
-    let av = a.sorted_values().to_vec();
-    let bv = b.sorted_values();
+    a.ensure_sorted();
+    b.ensure_sorted();
+    let (av, bv) = (&a.values, &b.values);
     let mut acc = 0.0;
     for i in 0..probes {
         let q = (i as f64 + 0.5) / probes as f64;
@@ -382,6 +392,21 @@ mod tests {
         assert_eq!(s.percentile(0.5), None);
         assert!(s.is_empty());
         assert_eq!(s.mean(), 0.0);
+    }
+
+    #[test]
+    fn extend_from_slice_matches_one_push_per_value() {
+        let mut pushed = SampleSet::new();
+        let mut extended = SampleSet::new();
+        extended.extend_from_slice(&[]);
+        assert!(extended.sorted, "an empty extend keeps the set sorted");
+        for x in [3.0, 1.0, 2.0] {
+            pushed.push(x);
+        }
+        extended.extend_from_slice(&[3.0, 1.0]);
+        extended.extend_from_slice(&[2.0]);
+        assert_eq!(pushed.values(), extended.values());
+        assert_eq!(pushed.sorted_values(), extended.sorted_values());
     }
 
     #[test]
