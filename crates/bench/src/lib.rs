@@ -6,7 +6,7 @@
 //! series printing so the output reads like the paper's figures.
 
 use mimd_core::models::DiskCharacter;
-use mimd_core::{RunReport, Shape};
+use mimd_core::RunReport;
 use mimd_disk::DiskParams;
 use mimd_workload::{SyntheticSpec, Trace};
 
@@ -142,11 +142,6 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Formats a shape plus its conventional family name, e.g. `2x3x1 (SR-Array)`.
-pub fn shape_label(shape: Shape) -> String {
-    format!("{shape} ({})", shape.kind())
-}
-
 /// Formats milliseconds to two decimals.
 pub fn ms(x: f64) -> String {
     format!("{x:.2}")
@@ -164,7 +159,7 @@ pub fn ratio(a: f64, b: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mimd_core::EngineConfig;
+    use mimd_core::{EngineConfig, Shape};
 
     #[test]
     fn workloads_generate_canonical_sizes() {
@@ -179,7 +174,6 @@ mod tests {
         assert_eq!(ms(1.234), "1.23");
         assert_eq!(ratio(3.0, 2.0), "1.50x");
         assert_eq!(ratio(1.0, 0.0), "-");
-        assert!(shape_label(Shape::striping(6)).contains("striping"));
     }
 
     #[test]

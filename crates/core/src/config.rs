@@ -84,26 +84,10 @@ impl Shape {
         self.ds * self.dr * self.dm
     }
 
-    /// Total copies of each block (`Dr × Dm`, §3.4).
-    pub fn copies(&self) -> u32 {
-        self.dr * self.dm
-    }
-
     /// Whether this shape survives any single-disk failure (every block
     /// exists on at least two distinct disks).
     pub fn is_fault_tolerant(&self) -> bool {
         self.dm >= 2
-    }
-
-    /// A conventional name for this corner of the configuration space.
-    pub fn kind(&self) -> ShapeKind {
-        match (self.ds, self.dr, self.dm) {
-            (_, 1, 1) => ShapeKind::Striping,
-            (1, 1, _) => ShapeKind::Mirror,
-            (_, 1, 2) => ShapeKind::Raid10,
-            (_, _, 1) => ShapeKind::SrArray,
-            _ => ShapeKind::SrMirror,
-        }
     }
 
     /// All shapes with exactly `d` disks, optionally capping the rotational
@@ -142,37 +126,9 @@ impl Shape {
     }
 }
 
-/// The conventional families of §2.5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShapeKind {
-    /// `D × 1 × 1`.
-    Striping,
-    /// `1 × 1 × D`.
-    Mirror,
-    /// `Ds × 1 × 2`.
-    Raid10,
-    /// `Ds × Dr × 1`.
-    SrArray,
-    /// Anything with both `Dr > 1` and `Dm > 1`.
-    SrMirror,
-}
-
 impl fmt::Display for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}x{}x{}", self.ds, self.dr, self.dm)
-    }
-}
-
-impl fmt::Display for ShapeKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            ShapeKind::Striping => "striping",
-            ShapeKind::Mirror => "mirror",
-            ShapeKind::Raid10 => "RAID-10",
-            ShapeKind::SrArray => "SR-Array",
-            ShapeKind::SrMirror => "SR-Mirror",
-        };
-        f.write_str(name)
     }
 }
 
@@ -193,20 +149,7 @@ mod tests {
             }
         );
         assert_eq!(Shape::raid10(5), None);
-        assert_eq!(Shape::new(2, 3, 1).unwrap().copies(), 3);
-        assert_eq!(Shape::new(2, 3, 2).unwrap().copies(), 6);
         assert_eq!(Shape::new(0, 1, 1), None);
-    }
-
-    #[test]
-    fn kinds_match_section_2_5() {
-        assert_eq!(Shape::striping(6).kind(), ShapeKind::Striping);
-        assert_eq!(Shape::mirror(6).kind(), ShapeKind::Mirror);
-        assert_eq!(Shape::raid10(6).unwrap().kind(), ShapeKind::Raid10);
-        assert_eq!(Shape::sr_array(2, 3).unwrap().kind(), ShapeKind::SrArray);
-        assert_eq!(Shape::new(3, 2, 2).unwrap().kind(), ShapeKind::SrMirror);
-        // A single disk is "striping" degree 1.
-        assert_eq!(Shape::striping(1).kind(), ShapeKind::Striping);
     }
 
     #[test]
@@ -260,8 +203,6 @@ mod tests {
     #[test]
     fn display_forms() {
         assert_eq!(Shape::new(9, 4, 1).unwrap().to_string(), "9x4x1");
-        assert_eq!(ShapeKind::SrArray.to_string(), "SR-Array");
-        assert_eq!(ShapeKind::Raid10.to_string(), "RAID-10");
     }
 
     #[test]

@@ -43,9 +43,8 @@ pub mod layout;
 pub mod models;
 pub mod sched;
 mod slab;
-pub mod tuner;
 
-pub use config::{Shape, ShapeKind};
+pub use config::Shape;
 pub use dqueue::{DriveQueue, TaskId};
 pub use engine::report::{FaultReport, PredictionStats, RunReport};
 pub use engine::{ArraySim, CacheConfig, EngineConfig, MirrorPolicy, WriteMode};
@@ -54,4 +53,3 @@ pub use layout::{
     Fragment, Layout, LayoutError, ParityConfig, ParityLoc, RaidLevel, Replica, ReplicaPlacement,
 };
 pub use sched::Policy;
-pub use tuner::{Advice, Advisor, WorkloadObserver, WorkloadProfile};

@@ -321,11 +321,6 @@ impl CalibrationSchedule {
         self.next = (self.next * 2).min(self.max);
         cur
     }
-
-    /// The steady-state (maximum) interval.
-    pub fn steady_state(&self) -> SimDuration {
-        self.max
-    }
 }
 
 /// Feedback controller for the k-sector scheduling slack (§3.2).
@@ -368,11 +363,6 @@ impl SlackController {
     /// Current slack in sectors.
     pub fn slack_sectors(&self) -> u32 {
         self.slack_sectors
-    }
-
-    /// Current slack as a time, given the sector pass time.
-    pub fn slack_time(&self, sector_time: SimDuration) -> SimDuration {
-        sector_time * self.slack_sectors as u64
     }
 
     /// Records one request outcome and adapts at window boundaries.
@@ -544,7 +534,6 @@ mod tests {
             last = cur;
         }
         assert_eq!(last, SimDuration::from_secs(120));
-        assert_eq!(s.steady_state(), SimDuration::from_secs(120));
     }
 
     #[test]
@@ -577,12 +566,5 @@ mod tests {
             c.record(true);
         }
         assert_eq!(c.slack_sectors(), 64);
-    }
-
-    #[test]
-    fn slack_time_scales_with_sector_time() {
-        let c = SlackController::new(4, 0.01, 100);
-        let sector = SimDuration::from_micros(28);
-        assert_eq!(c.slack_time(sector), SimDuration::from_micros(112));
     }
 }

@@ -3,8 +3,7 @@
 //! proprietary traces.
 //!
 //! - [`request`]: the logical I/O vocabulary ([`Op`], [`Request`]).
-//! - [`trace`]: trace containers with merge/concat, rate scaling, and
-//!   truncation ([`Trace`]).
+//! - [`trace`]: trace containers with rate scaling ([`Trace`]).
 //! - [`stats`]: trace characterisation — read fraction, seek-locality
 //!   index `L`, one-hour read-after-write — exactly the rows of the
 //!   paper's Table 3 ([`TraceStats`]).

@@ -1,10 +1,10 @@
 //! Trace containers and transformations.
 //!
-//! The paper merges per-disk traces by timestamp, concatenates their data
-//! sets into one logical address space (§4.1 "Logical Data Sets"), and
-//! replays traces at uniformly scaled rates ("when the scaling rate is two,
-//! the traced inter-arrival times are halved"). [`Trace`] supports all
-//! three.
+//! The paper replays traces at uniformly scaled rates ("when the scaling
+//! rate is two, the traced inter-arrival times are halved");
+//! [`Trace::scaled`] does the same. Its merged, concatenated data sets
+//! (§4.1 "Logical Data Sets") are generated whole by
+//! [`SyntheticSpec`](crate::SyntheticSpec).
 
 use mimd_sim::{SimDuration, SimTime};
 
@@ -95,32 +95,6 @@ impl Trace {
         )
     }
 
-    /// Merges two traces by timestamp, concatenating their data sets:
-    /// `other`'s blocks are offset past `self`'s data set, mirroring the
-    /// paper's disk-concatenation step.
-    pub fn merge_concat(&self, other: &Trace) -> Trace {
-        let offset = self.data_sectors;
-        let mut requests = self.requests.clone();
-        requests.extend(other.requests.iter().map(|r| Request {
-            lbn: r.lbn + offset,
-            ..*r
-        }));
-        Trace::new(
-            format!("{}+{}", self.name, other.name),
-            self.data_sectors + other.data_sectors,
-            requests,
-        )
-    }
-
-    /// Keeps only the first `n` requests (used to bound experiment time).
-    pub fn truncated(&self, n: usize) -> Trace {
-        Trace::new(
-            self.name.clone(),
-            self.data_sectors,
-            self.requests.iter().take(n).copied().collect(),
-        )
-    }
-
     /// Fraction of requests with the given op kind.
     pub fn fraction(&self, op: Op) -> f64 {
         if self.requests.is_empty() {
@@ -198,25 +172,6 @@ mod tests {
     #[should_panic(expected = "scale rate")]
     fn scaling_rejects_zero_rate() {
         let _ = sample().scaled(0.0);
-    }
-
-    #[test]
-    fn merge_concat_offsets_blocks_and_interleaves() {
-        let a = Trace::new("a", 1_000, vec![r(0, 10, Op::Read), r(30, 20, Op::Read)]);
-        let b = Trace::new("b", 500, vec![r(15, 5, Op::SyncWrite)]);
-        let m = a.merge_concat(&b);
-        assert_eq!(m.data_sectors, 1_500);
-        assert_eq!(m.len(), 3);
-        // b's request lands between a's two, with its block offset by 1000.
-        assert_eq!(m.requests()[1].lbn, 1_005);
-        assert_eq!(m.requests()[1].op, Op::SyncWrite);
-    }
-
-    #[test]
-    fn truncation_keeps_prefix() {
-        let t = sample().truncated(2);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.requests()[1].lbn, 50);
     }
 
     #[test]

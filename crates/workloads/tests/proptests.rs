@@ -1,7 +1,7 @@
 //! Property tests for traces and generators, driven by the deterministic
 //! in-repo harness (`mimd_sim::check`).
 
-use mimd_sim::check::{check_cases, f64_in};
+use mimd_sim::check::check_cases;
 use mimd_sim::{SimRng, SimTime};
 use mimd_workload::io::{read_trace, write_trace};
 use mimd_workload::{Op, Request, SyntheticSpec, Trace, TraceStats};
@@ -56,46 +56,6 @@ fn traces_are_sorted_and_renumbered() {
         for (i, w) in t.requests().windows(2).enumerate() {
             assert!(w[0].arrival <= w[1].arrival);
             assert_eq!(w[0].id, i as u64);
-        }
-    });
-}
-
-#[test]
-fn merge_concat_preserves_counts_and_offsets() {
-    check_cases(
-        "merge_concat preserves counts and offsets",
-        256,
-        |_, rng| {
-            let a = arb_requests(rng, 10_000, 0, 50);
-            let b = arb_requests(rng, 10_000, 0, 50);
-            let ta = Trace::new("a", 10_000, a);
-            let tb = Trace::new("b", 10_000, b);
-            let m = ta.merge_concat(&tb);
-            assert_eq!(m.len(), ta.len() + tb.len());
-            assert_eq!(m.data_sectors, 20_000);
-            assert!(m.max_block() <= 20_000);
-            // Every b-block appears offset by ta's data size.
-            let b_blocks: Vec<u64> = tb.requests().iter().map(|r| r.lbn + 10_000).collect();
-            for blk in b_blocks {
-                assert!(m.requests().iter().any(|r| r.lbn == blk));
-            }
-        },
-    );
-}
-
-#[test]
-fn truncate_then_scale_commutes() {
-    check_cases("truncate then scale commutes", 256, |_, rng| {
-        let reqs = arb_requests(rng, 100_000, 2, 60);
-        let n = rng.range(1, 30) as usize;
-        let rate = f64_in(rng, 1.0, 32.0);
-        let t = Trace::new("prop", 100_000, reqs);
-        let a = t.truncated(n).scaled(rate);
-        let b = t.scaled(rate).truncated(n);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.requests().iter().zip(b.requests()) {
-            assert_eq!(x.lbn, y.lbn);
-            assert_eq!(x.arrival, y.arrival);
         }
     });
 }
