@@ -1232,23 +1232,38 @@ mod tests {
     /// A record store keyed by a monotone id keeps every id issued since
     /// its oldest live record; the slabs hold no more slots than were
     /// live at once, here the 128 requests a closed loop keeps in flight.
+    /// On RAID 5 the one-sector requests are one fragment each, and a
+    /// parity operation's legs count down that fragment's one job.
     #[test]
     fn record_stores_stay_within_the_live_count() {
-        let spec = IometerSpec::microbench(16_000_000, 1.0);
-        let mut sim = ArraySim::new(quick_cfg(Shape::raid10(16).unwrap()), 16_000_000).unwrap();
-        let r = sim.run_closed_loop(&spec, 128, 10_000);
-        assert_eq!(r.completed, 10_000);
-        assert!(
-            sim.logicals.slot_count() <= 128,
-            "conductor slab grew to {} slots",
-            sim.logicals.slot_count()
-        );
-        for (g, s) in sim.shards.iter().enumerate() {
+        let runs = [
+            (
+                quick_cfg(Shape::raid10(16).unwrap()),
+                IometerSpec::microbench(16_000_000, 1.0),
+            ),
+            (
+                quick_cfg(Shape::striping(8)).with_parity(ParityConfig::raid5(4)),
+                IometerSpec::mixed_512(16_000_000),
+            ),
+        ];
+        for (cfg, spec) in runs {
+            let parity = cfg.parity.is_some();
+            let mut sim = ArraySim::new(cfg, 16_000_000).unwrap();
+            let r = sim.run_closed_loop(&spec, 128, 10_000);
+            assert_eq!(r.completed, 10_000);
+            assert_eq!(r.faults.rmw_updates > 0, parity);
             assert!(
-                s.job_slots() <= 128,
-                "shard {g}'s job slab grew to {} slots",
-                s.job_slots()
+                sim.logicals.slot_count() <= 128,
+                "conductor slab grew to {} slots",
+                sim.logicals.slot_count()
             );
+            for (g, s) in sim.shards.iter().enumerate() {
+                assert!(
+                    s.job_slots() <= 128,
+                    "shard {g}'s job slab grew to {} slots",
+                    s.job_slots()
+                );
+            }
         }
     }
 

@@ -14,9 +14,11 @@
 //! queues, its in-flight operation, its LOOK state and its bookkeeping.
 //! Mirror duplicates (§3.3) are tracked by generation, one [`DupGen`] per
 //! generation with a copy still queued, so cancelling the copies that
-//! lost costs O(Dm), not O(queue depth). Jobs, duplicate generations and
-//! parity operations each live in a generation-tagged [`Slab`], so every
-//! store holds no more slots than were live at once.
+//! lost costs O(Dm), not O(queue depth). Each routed fragment has one
+//! [`Job`] record, whatever organization serves it: every task working
+//! for the fragment, mirrored copy or parity leg alike, names it by key.
+//! Jobs and duplicate generations each live in a generation-tagged
+//! [`Slab`], so every store holds no more slots than were live at once.
 //!
 //! Cross-shard traffic is carried as timestamped messages:
 //!
@@ -24,7 +26,7 @@
 //!   fragment routed to this group) delivered by the conductor;
 //! - **outbound**, [`Note`]s — fragment-completion `Part`s and array
 //!   `Health` transitions — which the conductor merges in canonical
-//!   `(time, shard, emission-index)` order.
+//!   `(time, health-before-part, shard, emission-index)` order.
 //!
 //! Each shard folds its own event pops into a private [`DetWitness`]
 //! sub-stream with its own queue's FIFO sequence numbers; the conductor
@@ -38,7 +40,6 @@ mod parity;
 use mimd_disk::{SimDisk, Target};
 
 use mimd_sim::{DetWitness, EventQueue, SimDuration, SimRng, SimTime};
-use parity::ParityOp;
 
 use super::flat::FlatMap;
 use crate::dqueue::{DriveQueue, TaskId};
@@ -65,18 +66,18 @@ pub(crate) enum TaskKind {
     Rebuild,
     /// One read leg of a parity operation (RAID 4/5): a plain data read,
     /// a degraded-read reconstruction leg, or the old-value read of an
-    /// RMW. `task.job` holds the owning [`ParityOp`]'s key.
+    /// RMW. Its [`Job`] counts the legs of the operation's current phase.
     ParityRead,
     /// One write leg of a parity operation: RMW data/parity update or a
-    /// full-stripe member write. `task.job` holds the [`ParityOp`]'s key.
+    /// full-stripe member write.
     ParityWrite,
 }
 
 #[derive(Debug, Clone)]
 pub(crate) struct PendingTask {
-    /// The task's [`Job`], or for a parity leg its [`ParityOp`]; `None`
-    /// for tasks with no logical request (delayed propagation, rebuild
-    /// chunk reads).
+    /// The [`Job`] of the fragment this task works for, whatever its
+    /// kind; `None` for tasks with no logical request (delayed
+    /// propagation, rebuild chunk reads).
     pub(crate) job: Option<Key>,
     pub(crate) frag: Fragment,
     pub(crate) write: bool,
@@ -287,7 +288,8 @@ pub(crate) enum HealthKind {
 ///
 /// Shards append notes in their own event order; the conductor applies
 /// them immediately (interleaved mode) or merges them across shards in
-/// `(time, shard, emission-index)` order (structured mode).
+/// `(time, health-before-part, shard, emission-index)` order (structured
+/// mode).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Note {
     /// One routed fragment of a logical request finished (all its local
@@ -334,15 +336,41 @@ pub(crate) struct Nvram {
     threshold: usize,
 }
 
-/// One routed fragment of a logical request: its part countdown. Request
+/// One routed fragment of a logical request: the shard's one record of
+/// it, named by the `job` key of every task working for it. Request
 /// metadata stays with the conductor.
 #[derive(Debug)]
 struct Job {
     logical: Key,
-    /// Parts still outstanding.
+    /// Parts still outstanding: one per replica-group task of a
+    /// foreground write, one for a read or first copy, or the legs of a
+    /// parity operation's current phase.
     parts: u32,
     /// Whether any part failed.
     failed: bool,
+    /// The submission's flags, from which a parity operation replans
+    /// after a member failure (its legs carry the fragment).
+    write: bool,
+    stripe: bool,
+    /// Parity read–modify–write only: whether the write phase, issued
+    /// when the read phase drains, writes the row's data disk and its
+    /// parity disk.
+    rmw: (bool, bool),
+}
+
+impl Job {
+    /// A record of `sub` with `parts` outstanding parts and no write
+    /// phase to follow.
+    fn new(sub: Submission, parts: u32) -> Job {
+        Job {
+            logical: sub.logical,
+            parts,
+            failed: false,
+            write: sub.write,
+            stripe: sub.stripe,
+            rmw: (false, false),
+        }
+    }
 }
 
 /// An open mirror-duplicate generation (§3.3: a read whose owners are all
@@ -426,9 +454,6 @@ pub(crate) struct Shard {
     events: EventQueue<ColEvent>,
     jobs: Slab<Job>,
     dups: Slab<DupGen>,
-    /// Live parity operations (RAID 4/5 reads, RMWs, stripe writes);
-    /// parity task `job` fields hold their keys.
-    parity_ops: Slab<ParityOp>,
     /// Per-shard fault context (own named RNG stream, own rebuild state);
     /// `None` for an empty plan.
     pub(crate) faults: Option<Box<FaultCtx>>,
@@ -529,7 +554,6 @@ impl Shard {
             events,
             jobs: Slab::default(),
             dups: Slab::default(),
-            parity_ops: Slab::default(),
             faults,
             report: RunReport::default(),
             notes: Vec::new(),
@@ -619,59 +643,79 @@ impl Shard {
         while self.step(lay) {}
     }
 
-    /// Plans one routed fragment into local tasks: one gating job with
-    /// one part per replica-group task (foreground writes) or one part
-    /// total (reads / background-mode first copies). A fragment with no
-    /// surviving copy emits an immediate failed `Part` note.
+    /// Plans one routed fragment into local tasks under one [`Job`]: one
+    /// part per replica-group task (foreground writes), one part total
+    /// (reads / background-mode first copies), or a parity operation. A
+    /// fragment with no surviving copy emits an immediate failed `Part`
+    /// note.
     pub(crate) fn submit_frag(&mut self, lay: &Layout, sub: Submission) {
         let Submission {
             at: now,
-            logical,
             frag,
             write,
             fg_write,
-            stripe,
+            ..
         } = sub;
         if lay.parity().is_some() {
-            self.submit_parity_frag(lay, now, logical, frag, write, stripe);
-            return;
-        }
-        let mut reps = std::mem::take(&mut self.group_scratch);
-        reps.clear();
-        lay.write_groups_into(frag, &mut reps);
-        retain_groups(&mut reps, self.dr, |g| !self.is_dead(g[0].disk));
-        if reps.is_empty() {
-            self.notes.push(Note::Part {
-                logical,
-                at: now,
-                failed: true,
-            });
-        } else {
-            let fg = write && fg_write;
-            let parts = if fg { (reps.len() / self.dr) as u32 } else { 1 };
-            let job = Some(self.jobs.insert(Job {
-                logical,
-                parts,
-                failed: false,
-            }));
-            if fg {
-                for replicas in reps.chunks_exact(self.dr) {
+            self.plan_parity(lay, sub);
+        } else if write && fg_write {
+            let groups = self.live_groups(lay, frag);
+            if groups.is_empty() {
+                self.fail_frag(sub);
+            } else {
+                let parts = (groups.len() / self.dr) as u32;
+                let job = Some(self.jobs.insert(Job::new(sub, parts)));
+                for replicas in groups.chunks_exact(self.dr) {
                     let disk = replicas[0].disk;
                     let task = PendingTask::new(job, frag, true, TaskKind::WriteAll, replicas, now);
                     self.enqueue(disk, task);
                     self.touched.push(disk - self.base);
                 }
-            } else {
-                let kind = if write {
-                    TaskKind::WriteFirst
-                } else {
-                    TaskKind::Read
-                };
-                self.dispatch_mirrored(job, frag, write, kind, &mut reps, now);
             }
+            self.group_scratch = groups;
+        } else {
+            let job = self.jobs.insert(Job::new(sub, 1));
+            let kind = if write {
+                TaskKind::WriteFirst
+            } else {
+                TaskKind::Read
+            };
+            self.place(lay, now, Some(job), frag, kind);
         }
-        reps.clear();
-        self.group_scratch = reps;
+    }
+
+    /// The replica groups of `frag` on live disks, as runs of `Dr`
+    /// replicas in layout order. The vector is the shard's scratch
+    /// buffer: hand it back through `self.group_scratch` when done.
+    fn live_groups(&mut self, lay: &Layout, frag: Fragment) -> Vec<Replica> {
+        let mut groups = std::mem::take(&mut self.group_scratch);
+        groups.clear();
+        lay.write_groups_into(frag, &mut groups);
+        retain_groups(&mut groups, self.dr, |g| !self.is_dead(g[0].disk));
+        groups
+    }
+
+    /// Places a read or first-copy write of `job`'s fragment on its live
+    /// replica groups, or fails the part when none is left. Serves a
+    /// fresh fragment and one rehomed from a failed disk alike.
+    fn place(
+        &mut self,
+        lay: &Layout,
+        now: SimTime,
+        job: Option<Key>,
+        frag: Fragment,
+        kind: TaskKind,
+    ) {
+        let mut groups = self.live_groups(lay, frag);
+        if groups.is_empty() {
+            if let Some(job) = job {
+                self.finish_part(lay, now, job, frag, true);
+            }
+        } else {
+            let write = kind == TaskKind::WriteFirst;
+            self.dispatch_mirrored(job, frag, write, kind, &mut groups, now);
+        }
+        self.group_scratch = groups;
     }
 
     /// Dispatches the disks touched since the last kick.
@@ -689,23 +733,46 @@ impl Shard {
         self.touched = touched;
     }
 
-    /// Marks one part of a job done; the job's last part removes it and
-    /// emits its completion note to the conductor.
-    fn finish_part(&mut self, now: SimTime, job: Key, failed: bool) {
+    /// Counts one part of `job`, a record of `frag`, done. The last part
+    /// closes the record and emits its completion note, unless it drains
+    /// the read phase of a parity read–modify–write, which then issues
+    /// its write legs. A part whose record is gone (a parity leg orphaned
+    /// by a replan or by its operation failing) does nothing.
+    fn finish_part(&mut self, lay: &Layout, now: SimTime, job: Key, frag: Fragment, failed: bool) {
         let Some(j) = self.jobs.get_mut(job) else {
             return;
         };
         j.failed |= failed;
         j.parts = j.parts.saturating_sub(1);
-        if j.parts == 0 {
-            let (logical, failed) = (j.logical, j.failed);
-            self.jobs.remove(job);
+        if j.parts > 0 {
+            return;
+        }
+        match std::mem::take(&mut j.rmw) {
+            (false, false) => self.close_job(now, job, false),
+            rmw => self.issue_parity_writes(lay, now, job, frag, rmw),
+        }
+    }
+
+    /// Removes `job` and emits its completion note, failed when `failed`
+    /// is set or any part failed. A stale key does nothing.
+    fn close_job(&mut self, now: SimTime, job: Key, failed: bool) {
+        if let Some(j) = self.jobs.remove(job) {
             self.notes.push(Note::Part {
-                logical,
+                logical: j.logical,
                 at: now,
-                failed,
+                failed: failed || j.failed,
             });
         }
+    }
+
+    /// Fails a fragment that no record was opened for: it has no copy,
+    /// or too few parity members, left to serve it.
+    fn fail_frag(&mut self, sub: Submission) {
+        self.notes.push(Note::Part {
+            logical: sub.logical,
+            at: sub.at,
+            failed: true,
+        });
     }
 
     /// Dispatches a read (or first-copy write), first dropping from
@@ -989,38 +1056,31 @@ impl Shard {
                 }
             }
         }
-        if matches!(fly.task.kind, TaskKind::ParityRead | TaskKind::ParityWrite) {
-            self.on_parity_done(now, disk, fly.task.job);
-            return;
-        }
-        match fly.task.kind {
-            TaskKind::Rebuild | TaskKind::ParityRead | TaskKind::ParityWrite => {}
-            TaskKind::Delayed => {
-                self.nvram.count = self.nvram.count.saturating_sub(1);
-                self.report.delayed_propagated += 1;
-            }
-            TaskKind::Read | TaskKind::WriteAll | TaskKind::WriteFirst => {
-                if fly.task.kind == TaskKind::WriteFirst {
-                    // The first copy is durable; queue the remaining
-                    // Dr*Dm - 1 copies for background propagation.
-                    let written = fly.task.replica_of(fly.chosen);
-                    let mut reps = std::mem::take(&mut self.group_scratch);
-                    reps.clear();
-                    lay.write_groups_into(fly.task.frag, &mut reps);
-                    for r in &reps {
-                        if (r.replica, r.mirror) == written {
-                            continue;
-                        }
-                        self.push_delayed(r, fly.task.frag, now);
+        if fly.task.kind == TaskKind::Delayed {
+            self.nvram.count = self.nvram.count.saturating_sub(1);
+            self.report.delayed_propagated += 1;
+        } else {
+            if fly.task.kind == TaskKind::WriteFirst {
+                // The first copy is durable; queue the remaining
+                // Dr*Dm - 1 copies for background propagation.
+                let written = fly.task.replica_of(fly.chosen);
+                let mut reps = std::mem::take(&mut self.group_scratch);
+                reps.clear();
+                lay.write_groups_into(fly.task.frag, &mut reps);
+                for r in &reps {
+                    if (r.replica, r.mirror) == written {
+                        continue;
                     }
-                    reps.clear();
-                    self.group_scratch = reps;
+                    self.push_delayed(r, fly.task.frag, now);
                 }
-                if let Some(job) = fly.task.job {
-                    self.finish_part(now, job, false);
-                }
+                self.group_scratch = reps;
+            }
+            if let Some(job) = fly.task.job {
+                self.finish_part(lay, now, job, fly.task.frag, false);
             }
         }
+        // A parity phase that drained has queued its write legs.
+        self.kick(now);
         self.try_dispatch(now, l);
     }
 
@@ -1057,17 +1117,14 @@ impl Shard {
         exclude: Option<usize>,
     ) {
         if !self.may_retry(&task) {
-            self.fail_unrecoverable(now, task);
+            self.fail_unrecoverable(lay, now, task);
             return;
         }
-        let mut groups = std::mem::take(&mut self.group_scratch);
-        groups.clear();
-        lay.write_groups_into(task.frag, &mut groups);
+        let groups = self.live_groups(lay, task.frag);
         let dr = self.dr;
-        retain_groups(&mut groups, dr, |g| !self.is_dead(g[0].disk));
         let ngroups = groups.len() / dr;
         if ngroups == 0 {
-            self.fail_unrecoverable(now, task);
+            self.fail_unrecoverable(lay, now, task);
         } else {
             // Rotate by the attempt this retry will be.
             let mut pick = (task.attempt as usize + 1) % ngroups;
@@ -1080,7 +1137,6 @@ impl Shard {
             self.requeue_retry(now, disk, task);
             self.try_dispatch(now, disk - self.base);
         }
-        groups.clear();
         self.group_scratch = groups;
     }
 
@@ -1104,21 +1160,20 @@ impl Shard {
         self.enqueue(disk, task);
     }
 
-    /// Fails a task that cannot be retried: its job part, or for a parity
-    /// leg the whole [`ParityOp`] (whose sibling legs then no-op).
-    fn fail_unrecoverable(&mut self, now: SimTime, task: PendingTask) {
+    /// Fails a task that cannot be retried: one part of its job, or for a
+    /// parity leg the whole operation, whose sibling legs then find the
+    /// record gone.
+    fn fail_unrecoverable(&mut self, lay: &Layout, now: SimTime, task: PendingTask) {
         if self.faults.is_some() {
             self.report.faults.unrecoverable += 1;
         }
-        let job = match task.kind {
-            TaskKind::ParityRead | TaskKind::ParityWrite => task
-                .job
-                .and_then(|op| self.parity_ops.remove(op))
-                .map(|op| op.job),
-            _ => task.job,
+        let Some(job) = task.job else {
+            return;
         };
-        if let Some(job) = job {
-            self.finish_part(now, job, true);
+        if matches!(task.kind, TaskKind::ParityRead | TaskKind::ParityWrite) {
+            self.close_job(now, job, true);
+        } else {
+            self.finish_part(lay, now, job, task.frag, true);
         }
     }
 
@@ -1131,7 +1186,7 @@ impl Shard {
             TaskKind::Read => self.retry_or_fail(lay, now, task, Some(disk)),
             TaskKind::Delayed | TaskKind::Rebuild => {}
             _ if self.may_retry(&task) => self.requeue_retry(now, disk, task),
-            _ => self.fail_unrecoverable(now, task),
+            _ => self.fail_unrecoverable(lay, now, task),
         }
         self.try_dispatch(now, disk - self.base);
     }
@@ -1284,42 +1339,30 @@ impl Shard {
             TaskKind::WriteAll => {
                 // The surviving mirrors hold their own WriteAll tasks; the
                 // write only fails outright if no live copy remains.
-                let any_live = lay
-                    .owner_disks(task.frag)
-                    .into_iter()
-                    .any(|d| !self.is_dead(d));
+                let groups = self.live_groups(lay, task.frag);
+                let lost = groups.is_empty();
+                self.group_scratch = groups;
                 if let Some(job) = task.job {
-                    self.finish_part(now, job, !any_live);
+                    self.finish_part(lay, now, job, task.frag, lost);
                 }
             }
             TaskKind::Read | TaskKind::WriteFirst => {
-                let mut groups = std::mem::take(&mut self.group_scratch);
-                groups.clear();
-                lay.write_groups_into(task.frag, &mut groups);
-                retain_groups(&mut groups, self.dr, |g| !self.is_dead(g[0].disk));
-                if groups.is_empty() {
-                    if let Some(job) = task.job {
-                        self.finish_part(now, job, true);
-                    }
-                } else {
-                    self.dispatch_mirrored(
-                        task.job,
-                        task.frag,
-                        task.write,
-                        task.kind,
-                        &mut groups,
-                        now,
-                    );
-                }
-                groups.clear();
-                self.group_scratch = groups;
+                self.place(lay, now, task.job, task.frag, task.kind);
             }
             TaskKind::ParityRead | TaskKind::ParityWrite => {
                 // The whole parity operation replans against the degraded
-                // group; sibling legs still queued elsewhere find the op
-                // gone and no-op on completion.
-                if let Some(op) = task.job.and_then(|op| self.parity_ops.remove(op)) {
-                    self.replan_parity_op(lay, now, op);
+                // group under a fresh record; sibling legs still queued
+                // elsewhere hold the stale key and no-op on completion.
+                if let Some(j) = task.job.and_then(|job| self.jobs.remove(job)) {
+                    let sub = Submission {
+                        at: now,
+                        logical: j.logical,
+                        frag: task.frag,
+                        write: j.write,
+                        fg_write: false,
+                        stripe: j.stripe,
+                    };
+                    self.plan_parity(lay, sub);
                 }
             }
         }

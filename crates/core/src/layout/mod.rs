@@ -337,44 +337,12 @@ impl Layout {
         (column * self.shape.dr + row) as usize
     }
 
-    /// Splits a logical request at stripe-unit boundaries.
-    pub fn fragments(&self, lbn: u64, sectors: u32) -> Vec<Fragment> {
-        let mut out = Vec::new();
-        self.fragments_into(lbn, sectors, &mut out);
-        out
-    }
-
-    /// Appends the fragments of `[lbn, lbn+sectors)` to `out`, reusing the
-    /// caller's buffer (the allocation-free twin of [`Layout::fragments`]).
-    pub fn fragments_into(&self, lbn: u64, sectors: u32, out: &mut Vec<Fragment>) {
-        out.extend(self.split(lbn, sectors));
-    }
-
-    /// The stripe-unit split of `[lbn, lbn+sectors)`, in lbn order.
-    fn split(&self, lbn: u64, sectors: u32) -> impl Iterator<Item = Fragment> {
-        let u = self.stripe_unit as u64;
-        let end = lbn + sectors as u64;
-        let mut cur = lbn;
-        std::iter::from_fn(move || {
-            if cur >= end {
-                return None;
-            }
-            let len = ((cur / u + 1) * u).min(end) - cur;
-            let frag = Fragment {
-                lbn: cur,
-                sectors: len as u32,
-            };
-            cur += len;
-            Some(frag)
-        })
-    }
-
     /// Plans a logical request into routed `(fragment, full_stripe)`
     /// submissions. For parity-organization writes this is
     /// [`Layout::parity_write_plan`] (aligned full-stripe runs collapse
-    /// into one flagged fragment); everywhere else it is exactly
-    /// [`Layout::fragments_into`] with the flag pinned `false`, so the
-    /// non-parity fragment stream is untouched.
+    /// into one flagged fragment); everywhere else it is the split of
+    /// `[lbn, lbn+sectors)` at stripe-unit boundaries, in lbn order, with
+    /// the flag pinned `false`.
     pub fn plan_request(
         &self,
         write: bool,
@@ -386,15 +354,18 @@ impl Layout {
             self.parity_write_plan(lbn, sectors, out);
             return;
         }
-        out.extend(self.split(lbn, sectors).map(|f| (f, false)));
-    }
-
-    /// The disks that hold copies of a fragment (one per mirror).
-    pub fn owner_disks(&self, frag: Fragment) -> Vec<usize> {
-        let (column, row, _) = self.grid_of(frag.lbn / self.stripe_unit as u64);
-        (0..self.shape.dm)
-            .map(|m| self.disk_index(column, row, m))
-            .collect()
+        let u = self.stripe_unit as u64;
+        let end = lbn + sectors as u64;
+        let mut cur = lbn;
+        while cur < end {
+            let len = ((cur / u + 1) * u).min(end) - cur;
+            let frag = Fragment {
+                lbn: cur,
+                sectors: len as u32,
+            };
+            out.push((frag, false));
+            cur += len;
+        }
     }
 
     fn base_placement(&self, frag: Fragment) -> Option<(u32, u32, TrackLoc)> {
@@ -493,22 +464,10 @@ impl Layout {
         }
     }
 
-    /// Write placements grouped per mirror disk: `Dm` groups of `Dr`
-    /// rotational replicas each.
-    pub fn write_groups(&self, frag: Fragment) -> Vec<(usize, Vec<Replica>)> {
-        let mut flat = Vec::new();
-        self.write_groups_into(frag, &mut flat);
-        flat.chunks_exact(self.shape.dr as usize)
-            .map(|group| (group[0].disk, group.to_vec()))
-            .collect()
-    }
-
     /// Appends the `Dm × Dr` write placements of a fragment to `out` as
     /// `Dm` contiguous runs of `Dr` replicas each (a run shares one disk).
-    /// Appends nothing for out-of-range blocks. This is the
-    /// allocation-free twin of [`Layout::write_groups`]: the hot dispatch
-    /// path slices the flat buffer by `chunks_exact(dr)` instead of
-    /// materialising nested vectors.
+    /// Appends nothing for out-of-range blocks. The dispatch path slices
+    /// the flat buffer by `chunks_exact(dr)`, one replica group per run.
     pub fn write_groups_into(&self, frag: Fragment, out: &mut Vec<Replica>) {
         let Some((column, row, loc)) = self.base_placement(frag) else {
             return;
@@ -658,12 +617,24 @@ mod tests {
         assert!(l_stripe6.span_cylinders() < l_sr32.span_cylinders());
     }
 
+    /// The fragments `plan_request` routes for `[lbn, lbn+sectors)`.
+    fn fragments(l: &Layout, lbn: u64, sectors: u32) -> Vec<Fragment> {
+        let mut planned = Vec::new();
+        l.plan_request(false, lbn, sectors, &mut planned);
+        planned.into_iter().map(|(f, _)| f).collect()
+    }
+
+    /// The disk holding mirror 0 of the block at `lbn`.
+    fn first_owner(l: &Layout, lbn: u64) -> usize {
+        l.read_candidates(Fragment { lbn, sectors: 8 })[0].disk
+    }
+
     #[test]
     fn fragments_split_at_unit_boundaries() {
         let l = layout(Shape::striping(4));
-        assert_eq!(l.fragments(0, 8), vec![Fragment { lbn: 0, sectors: 8 }]);
+        assert_eq!(fragments(&l, 0, 8), vec![Fragment { lbn: 0, sectors: 8 }]);
         assert_eq!(
-            l.fragments(120, 16),
+            fragments(&l, 120, 16),
             vec![
                 Fragment {
                     lbn: 120,
@@ -676,7 +647,7 @@ mod tests {
             ]
         );
         // [100,400) crosses three unit boundaries: 28 + 128 + 128 + 16.
-        let four = l.fragments(100, 300);
+        let four = fragments(&l, 100, 300);
         assert_eq!(four.len(), 4);
         assert_eq!(four.iter().map(|f| f.sectors).sum::<u32>(), 300);
         assert_eq!(four[0].sectors, 28);
@@ -686,14 +657,7 @@ mod tests {
     #[test]
     fn striping_spreads_units_round_robin() {
         let l = layout(Shape::striping(4));
-        let disks: Vec<usize> = (0..8)
-            .map(|i| {
-                l.owner_disks(Fragment {
-                    lbn: i * 128,
-                    sectors: 8,
-                })[0]
-            })
-            .collect();
+        let disks: Vec<usize> = (0..8).map(|i| first_owner(&l, i * 128)).collect();
         assert_eq!(disks, vec![0, 1, 2, 3, 0, 1, 2, 3]);
     }
 
@@ -702,14 +666,7 @@ mod tests {
         let l = layout(Shape::sr_array(2, 3).unwrap());
         // Unit u: column = u % 2, row = (u/2) % 3, disk = column*3 + row.
         let expect: Vec<usize> = vec![0, 3, 1, 4, 2, 5, 0, 3];
-        let got: Vec<usize> = (0..8)
-            .map(|i| {
-                l.owner_disks(Fragment {
-                    lbn: i * 128,
-                    sectors: 8,
-                })[0]
-            })
-            .collect();
+        let got: Vec<usize> = (0..8).map(|i| first_owner(&l, i * 128)).collect();
         assert_eq!(got, expect);
     }
 
@@ -774,22 +731,30 @@ mod tests {
     #[test]
     fn write_groups_cover_every_copy() {
         let l = Layout::new(Shape::new(2, 2, 2).unwrap(), &geom(), 4_000_000, 128, false).unwrap();
-        let g = l.write_groups(Fragment {
-            lbn: 777,
-            sectors: 8,
-        });
+        let mut flat = Vec::new();
+        l.write_groups_into(
+            Fragment {
+                lbn: 777,
+                sectors: 8,
+            },
+            &mut flat,
+        );
+        let g: Vec<&[Replica]> = flat.chunks_exact(2).collect();
         assert_eq!(g.len(), 2);
-        for (disk, replicas) in &g {
-            assert_eq!(replicas.len(), 2);
-            assert!(replicas.iter().all(|r| r.disk == *disk));
+        for replicas in &g {
+            assert!(replicas.iter().all(|r| r.disk == replicas[0].disk));
         }
-        assert_ne!(g[0].0, g[1].0);
+        assert_ne!(g[0][0].disk, g[1][0].disk);
     }
 
     #[test]
     fn d_way_mirror_owns_every_disk() {
         let l = Layout::new(Shape::mirror(4), &geom(), 8_000_000, 128, false).unwrap();
-        let owners = l.owner_disks(Fragment { lbn: 0, sectors: 8 });
+        let owners: Vec<usize> = l
+            .read_candidates(Fragment { lbn: 0, sectors: 8 })
+            .iter()
+            .map(|r| r.disk)
+            .collect();
         assert_eq!(owners, vec![0, 1, 2, 3]);
     }
 
@@ -810,6 +775,8 @@ mod tests {
             sectors: 8,
         };
         assert!(l.read_candidates(frag).is_empty());
-        assert!(l.write_groups(frag).is_empty());
+        let mut groups = Vec::new();
+        l.write_groups_into(frag, &mut groups);
+        assert!(groups.is_empty());
     }
 }

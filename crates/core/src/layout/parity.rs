@@ -439,13 +439,15 @@ mod tests {
             false,
         )
         .unwrap();
+        // Without parity a write plans like a read: the stripe-unit
+        // split of [100, 400), 28 + 128 + 128 + 16 sectors, never flagged.
         let mut planned = Vec::new();
         l.plan_request(true, 100, 300, &mut planned);
-        let frags = l.fragments(100, 300);
-        assert_eq!(planned.len(), frags.len());
-        for (&(pf, stripe), &f) in planned.iter().zip(frags.iter()) {
-            assert_eq!(pf, f);
-            assert!(!stripe);
-        }
+        let mut reads = Vec::new();
+        l.plan_request(false, 100, 300, &mut reads);
+        assert_eq!(planned, reads);
+        let split: Vec<(u64, u32)> = planned.iter().map(|(f, _)| (f.lbn, f.sectors)).collect();
+        assert_eq!(split, vec![(100, 28), (128, 128), (256, 128), (384, 16)]);
+        assert!(planned.iter().all(|&(_, stripe)| !stripe));
     }
 }

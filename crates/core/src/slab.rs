@@ -1,6 +1,6 @@
 //! A generation-tagged slab: the one store for every record the engine
 //! keeps live during a run — queued tasks, logical requests, fragment
-//! jobs, mirror-duplicate generations and parity operations.
+//! jobs (a parity operation's included) and mirror-duplicate generations.
 //!
 //! A record is addressed by a [`Key`], its slot plus the slot's
 //! generation when the record went in. Removing a record bumps its slot's

@@ -89,7 +89,8 @@ impl IometerSpec {
         }
     }
 
-    /// Draws the next request: `(op, lbn, sectors)`.
+    /// Draws the request with sequence number `seq`: `(op, lbn, sectors)`.
+    /// Sequential streams place it by `seq`; random streams ignore `seq`.
     ///
     /// # Panics
     ///
@@ -104,22 +105,11 @@ impl IometerSpec {
     ///
     /// let spec = IometerSpec::random_read_512(1_000_000);
     /// let mut rng = SimRng::seed_from(1);
-    /// let (op, lbn, sectors) = spec.next(&mut rng);
+    /// let (op, lbn, sectors) = spec.next_at(&mut rng, 0);
     /// assert_eq!(op, mimd_workload::Op::Read);
     /// assert!(lbn < 1_000_000);
     /// assert_eq!(sectors, 1);
     /// ```
-    pub fn next(&self, rng: &mut SimRng) -> (Op, u64, u32) {
-        self.next_at(rng, 0)
-    }
-
-    /// Draws the request with sequence number `seq` (used by sequential
-    /// streams, where `seq` determines the position; random streams ignore
-    /// it).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`IometerSpec::next`].
     pub fn next_at(&self, rng: &mut SimRng, seq: u64) -> (Op, u64, u32) {
         assert!(self.sectors > 0, "zero-length requests");
         assert!(
@@ -157,7 +147,7 @@ mod tests {
         let mut rng = SimRng::seed_from(2);
         let n = 50_000;
         let reads = (0..n)
-            .filter(|_| matches!(spec.next(&mut rng).0, Op::Read))
+            .filter(|_| matches!(spec.next_at(&mut rng, 0).0, Op::Read))
             .count();
         let frac = reads as f64 / n as f64;
         assert!((frac - 0.5).abs() < 0.01, "read frac {frac}");
@@ -168,7 +158,7 @@ mod tests {
         let spec = IometerSpec::random_read_512(1_000_000);
         let mut rng = SimRng::seed_from(3);
         for _ in 0..1_000 {
-            assert_eq!(spec.next(&mut rng).0, Op::Read);
+            assert_eq!(spec.next_at(&mut rng, 0).0, Op::Read);
         }
     }
 
@@ -178,7 +168,7 @@ mod tests {
         let mut rng = SimRng::seed_from(4);
         let span = 900_000 / 3;
         for _ in 0..10_000 {
-            let (_, lbn, sectors) = spec.next(&mut rng);
+            let (_, lbn, sectors) = spec.next_at(&mut rng, 0);
             assert!(lbn + sectors as u64 <= span as u64 + sectors as u64);
             assert_eq!(sectors, 8);
         }
@@ -195,7 +185,7 @@ mod tests {
         };
         let mut rng = SimRng::seed_from(5);
         for _ in 0..10_000 {
-            let (_, lbn, sectors) = spec.next(&mut rng);
+            let (_, lbn, sectors) = spec.next_at(&mut rng, 0);
             assert!(lbn + sectors as u64 <= 10_000);
         }
     }
@@ -204,7 +194,10 @@ mod tests {
     fn locality_one_covers_most_of_the_set() {
         let spec = IometerSpec::random_read_512(100_000);
         let mut rng = SimRng::seed_from(6);
-        let max = (0..20_000).map(|_| spec.next(&mut rng).1).max().unwrap();
+        let max = (0..20_000)
+            .map(|_| spec.next_at(&mut rng, 0).1)
+            .max()
+            .unwrap();
         assert!(max > 95_000, "max lbn {max}");
     }
 
@@ -241,6 +234,6 @@ mod tests {
             access: Access::Random,
         };
         let mut rng = SimRng::seed_from(7);
-        let _ = spec.next(&mut rng);
+        let _ = spec.next_at(&mut rng, 0);
     }
 }

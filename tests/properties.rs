@@ -11,6 +11,13 @@ fn geometry() -> Geometry {
     Geometry::new(&DiskParams::st39133lwv())
 }
 
+/// The fragments `plan_request` routes for `[lbn, lbn+sectors)`.
+fn fragments(layout: &Layout, lbn: u64, sectors: u32) -> Vec<Fragment> {
+    let mut planned = Vec::new();
+    layout.plan_request(false, lbn, sectors, &mut planned);
+    planned.into_iter().map(|(f, _)| f).collect()
+}
+
 /// Generator over feasible shapes for an 8 GB data set.
 fn arb_shape(rng: &mut SimRng) -> Shape {
     match rng.below(4) {
@@ -37,7 +44,7 @@ fn fragments_partition_every_request() {
         let sectors = rng.range(1, 512) as u32;
         let layout =
             Layout::new(Shape::striping(4), &geometry(), 16_400_000, 128, false).expect("fits");
-        let frags = layout.fragments(lbn, sectors);
+        let frags = fragments(&layout, lbn, sectors);
         // Contiguous, exhaustive, non-overlapping.
         assert_eq!(frags[0].lbn, lbn);
         assert_eq!(
@@ -63,7 +70,7 @@ fn replica_targets_are_physically_valid() {
             // Infeasible combinations are allowed to be rejected.
             return;
         };
-        for frag in layout.fragments(lbn, sectors) {
+        for frag in fragments(&layout, lbn, sectors) {
             let candidates = layout.read_candidates(frag);
             assert_eq!(candidates.len() as u32, shape.dr * shape.dm);
             for r in &candidates {
@@ -82,8 +89,9 @@ fn replica_targets_are_physically_valid() {
                 assert!(colocated, "replicas of one mirror must share a cylinder");
             }
             // Write groups cover exactly the same copies.
-            let writes: usize = layout.write_groups(frag).iter().map(|(_, v)| v.len()).sum();
-            assert_eq!(writes, candidates.len());
+            let mut writes = Vec::new();
+            layout.write_groups_into(frag, &mut writes);
+            assert_eq!(writes.len(), candidates.len());
         }
     });
 }
