@@ -332,7 +332,6 @@ impl HealthState {
 /// assert!(report.mean_response_ms() > 0.0);
 /// ```
 pub struct ArraySim {
-    cfg: EngineConfig,
     layout: Layout,
     /// One engine per mirror group, in group order.
     shards: Vec<Shard>,
@@ -409,7 +408,6 @@ impl ArraySim {
             layout,
             shards,
             events: EventQueue::new(),
-            cfg,
             logicals: Slab::default(),
             cache,
             cache_hit_time,
@@ -433,9 +431,9 @@ impl ArraySim {
 
     /// Caps the worker threads that run shard engines concurrently in
     /// structured mode (default 1: fully serial). Reports and the
-    /// determinism witness are byte-identical at any setting; pick the cap
-    /// from the harness's thread budget when nesting inside parallel jobs
-    /// so shards do not oversubscribe cores.
+    /// determinism witness are byte-identical at any setting. The harness
+    /// runs each job's engine serially and parallelises across jobs
+    /// instead, so only a caller running one large array alone raises it.
     pub fn set_parallelism(&mut self, workers: usize) {
         self.parallelism = workers.max(1);
     }
@@ -860,7 +858,6 @@ impl ArraySim {
     /// `self.plan`: one submission per fragment. Returns its key.
     fn plan_logical(&mut self, now: SimTime, op: Op, lbn: u64, sectors: u32) -> Key {
         let write = op.is_write();
-        let fg_write = write && self.cfg.write_mode == WriteMode::Foreground;
         self.frag_scratch.clear();
         self.layout
             .plan_request(write, lbn, sectors, &mut self.frag_scratch);
@@ -872,7 +869,6 @@ impl ArraySim {
                 logical: id,
                 frag,
                 write,
-                fg_write,
                 stripe,
             }));
         id

@@ -49,7 +49,7 @@ use crate::sched::{LookState, Schedulable};
 use crate::slab::{Key, Slab};
 
 use super::report::RunReport;
-use super::{MirrorPolicy, SCHED_WINDOW};
+use super::{MirrorPolicy, WriteMode, SCHED_WINDOW};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TaskKind {
@@ -73,6 +73,16 @@ pub(crate) enum TaskKind {
     ParityWrite,
 }
 
+impl TaskKind {
+    /// Whether a task of this kind writes the disk.
+    fn is_write(self) -> bool {
+        !matches!(
+            self,
+            TaskKind::Read | TaskKind::Rebuild | TaskKind::ParityRead
+        )
+    }
+}
+
 #[derive(Debug, Clone)]
 pub(crate) struct PendingTask {
     /// The [`Job`] of the fragment this task works for, whatever its
@@ -80,7 +90,6 @@ pub(crate) struct PendingTask {
     /// propagation, rebuild chunk reads).
     pub(crate) job: Option<Key>,
     pub(crate) frag: Fragment,
-    pub(crate) write: bool,
     pub(crate) kind: TaskKind,
     pub(crate) targets: Vec<Target>,
     /// `(first replica, mirror)`: target `i` is replica `first + i` of
@@ -100,7 +109,6 @@ impl PendingTask {
     fn new(
         job: Option<Key>,
         frag: Fragment,
-        write: bool,
         kind: TaskKind,
         replicas: &[Replica],
         enqueued: SimTime,
@@ -108,7 +116,6 @@ impl PendingTask {
         let mut t = PendingTask {
             job,
             frag,
-            write,
             kind,
             targets: Vec::with_capacity(replicas.len()),
             meta: (0, 0),
@@ -148,7 +155,7 @@ impl Schedulable for PendingTask {
         &self.targets
     }
     fn is_write(&self) -> bool {
-        self.write
+        self.kind.is_write()
     }
     fn enqueued(&self) -> SimTime {
         self.enqueued
@@ -315,8 +322,6 @@ pub(crate) struct Submission {
     pub(crate) logical: Key,
     pub(crate) frag: Fragment,
     pub(crate) write: bool,
-    /// Foreground write mode: every replica group gets its own gating task.
-    pub(crate) fg_write: bool,
     /// Parity organizations only: this fragment covers a group's full
     /// stripe row of new data, so parity is computed without old-value
     /// reads. Always `false` without a parity layout.
@@ -441,6 +446,9 @@ pub(crate) struct Shard {
     /// `Ds × Dr` (static mirror-policy stride).
     ds_x_dr: u64,
     mirror_policy: MirrorPolicy,
+    /// Foreground write mode: every replica group of a write gets its own
+    /// gating task.
+    foreground: bool,
     coalesce: bool,
     slack: SimDuration,
     /// Keep the per-operation Table-2 sample sets
@@ -546,6 +554,7 @@ impl Shard {
             stripe_unit: lay.stripe_unit(),
             ds_x_dr: shape.ds as u64 * shape.dr as u64,
             mirror_policy: cfg.mirror_policy,
+            foreground: cfg.write_mode == WriteMode::Foreground,
             coalesce: cfg.coalesce_delayed,
             slack: cfg.slack,
             prediction_samples: cfg.prediction_samples,
@@ -653,12 +662,11 @@ impl Shard {
             at: now,
             frag,
             write,
-            fg_write,
             ..
         } = sub;
         if lay.parity().is_some() {
             self.plan_parity(lay, sub);
-        } else if write && fg_write {
+        } else if write && self.foreground {
             let groups = self.live_groups(lay, frag);
             if groups.is_empty() {
                 self.fail_frag(sub);
@@ -667,7 +675,7 @@ impl Shard {
                 let job = Some(self.jobs.insert(Job::new(sub, parts)));
                 for replicas in groups.chunks_exact(self.dr) {
                     let disk = replicas[0].disk;
-                    let task = PendingTask::new(job, frag, true, TaskKind::WriteAll, replicas, now);
+                    let task = PendingTask::new(job, frag, TaskKind::WriteAll, replicas, now);
                     self.enqueue(disk, task);
                     self.touched.push(disk - self.base);
                 }
@@ -712,8 +720,7 @@ impl Shard {
                 self.finish_part(lay, now, job, frag, true);
             }
         } else {
-            let write = kind == TaskKind::WriteFirst;
-            self.dispatch_mirrored(job, frag, write, kind, &mut groups, now);
+            self.dispatch_mirrored(job, frag, kind, &mut groups, now);
         }
         self.group_scratch = groups;
     }
@@ -782,12 +789,12 @@ impl Shard {
         &mut self,
         job: Option<Key>,
         frag: Fragment,
-        write: bool,
         kind: TaskKind,
         groups: &mut Vec<Replica>,
         now: SimTime,
     ) {
         let dr = self.dr;
+        let write = kind.is_write();
         if let Some(ctx) = self.faults.as_ref().filter(|c| c.plan.redirect && !write) {
             let healthy = |g: &[Replica]| ctx.slow_now[g[0].disk - self.base] == 0;
             let kept = groups.chunks_exact(dr).filter(|g| healthy(g)).count();
@@ -796,7 +803,7 @@ impl Shard {
                 self.report.faults.redirects += 1;
             }
         }
-        self.dispatch_groups(job, frag, write, kind, groups, now);
+        self.dispatch_groups(job, frag, kind, groups, now);
     }
 
     /// Dispatches a read (or first-copy write) per the §3.3 mirror
@@ -805,12 +812,12 @@ impl Shard {
         &mut self,
         job: Option<Key>,
         frag: Fragment,
-        write: bool,
         kind: TaskKind,
         groups: &[Replica],
         now: SimTime,
     ) {
         let dr = self.dr;
+        let write = kind.is_write();
         let ngroups = groups.len() / dr;
         if ngroups == 1 || self.mirror_policy == MirrorPolicy::Static {
             let idx = if ngroups == 1 {
@@ -820,7 +827,7 @@ impl Shard {
             };
             let replicas = &groups[idx * dr..(idx + 1) * dr];
             let disk = replicas[0].disk;
-            let task = PendingTask::new(job, frag, write, kind, replicas, now);
+            let task = PendingTask::new(job, frag, kind, replicas, now);
             self.enqueue(disk, task);
             self.touched.push(disk - self.base);
             return;
@@ -847,7 +854,7 @@ impl Shard {
         }
         if let Some((replicas, _)) = idle {
             let disk = replicas[0].disk;
-            let task = PendingTask::new(job, frag, write, kind, replicas, now);
+            let task = PendingTask::new(job, frag, kind, replicas, now);
             self.enqueue(disk, task);
             self.touched.push(disk - base);
             return;
@@ -861,7 +868,7 @@ impl Shard {
         });
         for replicas in groups.chunks_exact(dr) {
             let disk = replicas[0].disk;
-            let mut t = PendingTask::new(job, frag, write, kind, replicas, now);
+            let mut t = PendingTask::new(job, frag, kind, replicas, now);
             t.dup = Some(dup);
             let id = self.enqueue(disk, t);
             if let Some(g) = self.dups.get_mut(dup) {
@@ -917,7 +924,7 @@ impl Shard {
                 }
             }
         }
-        let t = PendingTask::new(None, frag, true, TaskKind::Delayed, one, now);
+        let t = PendingTask::new(None, frag, TaskKind::Delayed, one, now);
         let d = &mut self.drives[l];
         let id = d.delayed.insert(&d.disk, t);
         if self.coalesce {
@@ -980,9 +987,10 @@ impl Shard {
         // Service the chosen target (plus follow-on replicas for a
         // foreground multi-replica write).
         let chosen = &task.targets[candidate];
-        let (predicted, first) = self.drives[l]
-            .disk
-            .begin_with_estimate(now, chosen, task.write);
+        let (predicted, first) =
+            self.drives[l]
+                .disk
+                .begin_with_estimate(now, chosen, task.is_write());
         let predicted = predicted.total();
         let mut end = now + first.total();
 
@@ -1100,9 +1108,7 @@ impl Shard {
         let Some(task) = fg.remove(id) else {
             return;
         };
-        if self.faults.is_some() {
-            self.report.faults.timeouts += 1;
-        }
+        self.report.faults.timeouts += 1;
         self.retry_or_fail(lay, now, task, Some(disk));
     }
 
@@ -1154,9 +1160,7 @@ impl Shard {
         task.attempt += 1;
         task.enqueued = now;
         task.dup = None;
-        if self.faults.is_some() {
-            self.report.faults.retries += 1;
-        }
+        self.report.faults.retries += 1;
         self.enqueue(disk, task);
     }
 
@@ -1164,9 +1168,7 @@ impl Shard {
     /// parity leg the whole operation, whose sibling legs then find the
     /// record gone.
     fn fail_unrecoverable(&mut self, lay: &Layout, now: SimTime, task: PendingTask) {
-        if self.faults.is_some() {
-            self.report.faults.unrecoverable += 1;
-        }
+        self.report.faults.unrecoverable += 1;
         let Some(job) = task.job else {
             return;
         };
@@ -1359,7 +1361,6 @@ impl Shard {
                         logical: j.logical,
                         frag: task.frag,
                         write: j.write,
-                        fg_write: false,
                         stripe: j.stripe,
                     };
                     self.plan_parity(lay, sub);
@@ -1457,7 +1458,7 @@ impl Shard {
                 replica: 0,
                 mirror: (disk % dm) as u8,
             };
-            let t = PendingTask::new(None, frag, false, TaskKind::Rebuild, &[read], now);
+            let t = PendingTask::new(None, frag, TaskKind::Rebuild, &[read], now);
             let d = &mut self.drives[disk - self.base];
             d.delayed.insert(&d.disk, t);
         }
@@ -1542,9 +1543,7 @@ impl Shard {
         }
         match finished {
             Some(started) => {
-                if self.faults.is_some() {
-                    self.report.faults.rebuild_duration = now.saturating_since(started);
-                }
+                self.report.faults.rebuild_duration = now.saturating_since(started);
                 // Every replica is back in place: return the disk to
                 // service for subsequent requests.
                 self.dead[disk - self.base] = false;

@@ -166,7 +166,7 @@ impl Shard {
         } else {
             TaskKind::ParityRead
         };
-        let t = PendingTask::new(Some(job), frag, write, kind, &[leg], now);
+        let t = PendingTask::new(Some(job), frag, kind, &[leg], now);
         self.enqueue(disk, t);
         self.touched.push(disk - self.base);
     }
