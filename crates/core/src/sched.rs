@@ -241,10 +241,11 @@ fn best_candidate<S: Schedulable>(
         return 0;
     }
     let write = entry.is_write();
+    let arm = disk.arm_cylinder();
     let mut best: Option<(usize, u64)> = None;
     for (i, t) in entry.candidates().iter().enumerate() {
         if let Some((_, b)) = best {
-            if disk.positioning_lower_bound_ns(t, write) >= b {
+            if disk.seek_bound_ns(arm.abs_diff(t.cylinder)) >= b {
                 continue;
             }
         }
@@ -499,6 +500,63 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p_look.candidate, 0);
+    }
+
+    #[test]
+    fn replica_on_the_buffered_track_wins_first_or_last() {
+        let mut d = disk();
+        d.set_read_ahead(true);
+        let _ = d.begin(
+            SimTime::ZERO,
+            &Target {
+                cylinder: 2000,
+                surface: 1,
+                angle: 0.0,
+                sectors: 8,
+            },
+            false,
+        );
+        let now = d.busy_until();
+        let buffered = Target {
+            cylinder: 2000,
+            surface: 1,
+            angle: 0.5,
+            sectors: 8,
+        };
+        let others = [
+            Target {
+                cylinder: 2000,
+                surface: 2,
+                angle: 0.3,
+                sectors: 8,
+            },
+            Target {
+                cylinder: 4000,
+                surface: 0,
+                angle: 0.7,
+                sectors: 8,
+            },
+        ];
+        for last in [false, true] {
+            let mut candidates = others.to_vec();
+            let hit = if last {
+                candidates.push(buffered);
+                candidates.len() - 1
+            } else {
+                candidates.insert(0, buffered);
+                0
+            };
+            let q = vec![Entry {
+                candidates,
+                write: false,
+                at: SimTime::ZERO,
+            }];
+            for policy in [Policy::Fcfs, Policy::Rlook] {
+                let mut look = LookState::default();
+                let p = pick(policy, &d, now, &q, &mut look, SimDuration::ZERO).unwrap();
+                assert_eq!(p.candidate, hit, "{policy}, buffered replica last: {last}");
+            }
+        }
     }
 
     #[test]

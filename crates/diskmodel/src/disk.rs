@@ -228,35 +228,17 @@ impl SimDisk {
 
     /// A lower bound, in nanoseconds, on the positioning component
     /// ([`ServiceBreakdown::positioning`]) that [`SimDisk::estimate`] would
-    /// report for `target`: the seek alone, before any rotational wait.
+    /// report for a target `distance` cylinders from the arm: the read seek
+    /// alone, before any rotational wait. Write settle only adds time, so
+    /// it bounds both directions.
     ///
-    /// Exactness matters — the SATF scan uses this to skip candidates whose
-    /// bound already exceeds the incumbent, which only preserves the pick
-    /// when the bound never overshoots. A track-buffer hit has zero
-    /// positioning, so potential hits return 0; write settle only adds
-    /// time, so the read seek bounds both directions.
-    #[inline]
-    pub fn positioning_lower_bound_ns(&self, target: &Target, write: bool) -> u64 {
-        if !write
-            && self.read_ahead
-            && self.buffered_track == Some((target.cylinder, target.surface))
-        {
-            return 0;
-        }
-        let distance = self.arm_cylinder.abs_diff(target.cylinder);
-        if distance == 0 {
-            0
-        } else {
-            self.seek.seek_ns(distance)
-        }
-    }
-
-    /// The seek-only lower bound for a cylinder `distance`, in nanoseconds:
-    /// the by-distance form of [`SimDisk::positioning_lower_bound_ns`], for
-    /// index structures that bound whole cylinder bands at once. Monotone in
-    /// `distance` (the seek curve is), which is what lets a band index visit
-    /// bands in ascending-bound order. A track-buffer hit (positioning 0)
-    /// always lies at distance 0, where the bound is 0 too.
+    /// Exactness matters — the SATF scan and the replica choice skip
+    /// candidates whose bound already reaches the incumbent, which only
+    /// preserves the pick when the bound never overshoots. A track-buffer
+    /// hit (positioning 0) always lies at distance 0, where the bound is 0
+    /// too. Monotone in `distance` (the seek curve is), which is what lets
+    /// a band index bound whole cylinder bands and visit them in
+    /// ascending-bound order.
     #[inline]
     pub fn seek_bound_ns(&self, distance: u32) -> u64 {
         if distance == 0 {
