@@ -19,7 +19,7 @@
 ///     s.push(x);
 /// }
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.population_std_dev() - 2.0).abs() < 1e-12);
+/// assert!((s.population_variance() - 4.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
@@ -73,11 +73,6 @@ impl OnlineStats {
         } else {
             self.m2 / self.count as f64
         }
-    }
-
-    /// Population standard deviation.
-    pub fn population_std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
     }
 
     /// Sample variance (divides by N-1); zero with fewer than two samples.
@@ -217,7 +212,7 @@ impl SampleSet {
     /// Uses O(n) partial selection rather than a full sort when the set is
     /// unsorted — a run that only reports p95/p99 never pays O(n log n).
     /// Selection partially reorders `values` but leaves `sorted` false, so
-    /// a later [`Self::sorted_values`] still sorts correctly.
+    /// a later full sort (for [`demerit`]) still happens.
     pub fn percentile(&mut self, p: f64) -> Option<f64> {
         if self.values.is_empty() {
             return None;
@@ -232,12 +227,6 @@ impl SampleSet {
             .values
             .select_nth_unstable_by(rank, |a, b| a.partial_cmp(b).expect("samples are finite"));
         Some(*nth)
-    }
-
-    /// The sorted samples (sorting lazily on first access).
-    pub fn sorted_values(&mut self) -> &[f64] {
-        self.ensure_sorted();
-        &self.values
     }
 
     /// The raw samples in their current storage order.
@@ -406,7 +395,6 @@ mod tests {
         extended.extend_from_slice(&[3.0, 1.0]);
         extended.extend_from_slice(&[2.0]);
         assert_eq!(pushed.values(), extended.values());
-        assert_eq!(pushed.sorted_values(), extended.sorted_values());
     }
 
     #[test]
