@@ -11,7 +11,7 @@ use mimd_workload::{IometerSpec, Trace};
 use crate::cache::RunCache;
 use crate::fp;
 use crate::json::Json;
-use crate::pool::{configured_threads, engine_threads, parallel_map_with};
+use crate::pool::{configured_threads, parallel_map_with};
 
 /// One simulation to run: a fully-formed config plus its workload.
 pub enum Job<'a> {
@@ -57,7 +57,7 @@ impl<'a> Job<'a> {
     }
 
     /// Runs the job on a fresh array, bypassing the run cache. The engine
-    /// shards across [`engine_threads`] workers.
+    /// runs serially; the pool parallelises across jobs.
     ///
     /// # Panics
     ///
@@ -69,7 +69,6 @@ impl<'a> Job<'a> {
         };
         let mut sim = ArraySim::new(cfg.clone(), data_sectors)
             .expect("experiment shape must fit the data set");
-        sim.set_parallelism(engine_threads());
         match self {
             Job::Trace { trace, .. } => sim.run_trace(trace),
             Job::Closed {

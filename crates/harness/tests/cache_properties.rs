@@ -154,8 +154,8 @@ fn warm_rerun_is_byte_identical_to_cold() {
         assert_eq!(warm, cold, "case {case}: warm bytes differ from cold");
         assert_eq!(cold, disabled, "case {case}: cache changed the output");
 
-        // Parallel warm replay is byte-identical too (tiny jobs exercise
-        // the chunked work-claiming path).
+        // Parallel warm replay is byte-identical too (tiny jobs race the
+        // workers' claims hardest).
         let parallel = run_bytes(4, &cache, sweep.jobs());
         assert_eq!(parallel, cold, "case {case}: parallel warm bytes differ");
         let _ = std::fs::remove_dir_all(&dir);

@@ -139,7 +139,7 @@ const PANICKY: [(&str, &str); 6] = [
 ///
 /// The simulator's determinism story is "independent shard engines,
 /// joined only at the conductor's deterministic merge, fanned out by
-/// `mimd_harness::parallel_map` across cells" — any *other* thread, lock,
+/// `mimd_harness::parallel_map_with` across cells" — any *other* thread, lock,
 /// channel, or atomic underneath it either breaks reproducibility or
 /// silently depends on it being unused. The engine's one sanctioned
 /// thread seam (`ArraySim`'s structured shard run) carries an explicit
@@ -149,17 +149,17 @@ const PARALLELISM: [(&str, &str); 8] = [
     (
         "std::thread",
         "threads below the harness are banned outside the engine's waived conductor seam; \
-         fan out via `mimd_harness::parallel_map` or merge like the sharded engine",
+         fan out via `mimd_harness::parallel_map_with` or merge like the sharded engine",
     ),
     (
         "thread::spawn",
         "threads below the harness are banned outside the engine's waived conductor seam; \
-         fan out via `mimd_harness::parallel_map` or merge like the sharded engine",
+         fan out via `mimd_harness::parallel_map_with` or merge like the sharded engine",
     ),
     (
         "thread::scope",
         "threads below the harness are banned outside the engine's waived conductor seam; \
-         fan out via `mimd_harness::parallel_map` or merge like the sharded engine",
+         fan out via `mimd_harness::parallel_map_with` or merge like the sharded engine",
     ),
     (
         "Mutex",
